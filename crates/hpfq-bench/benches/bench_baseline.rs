@@ -13,11 +13,16 @@
 //! A second axis — the **flow-count scaling sweep** (`--sizes
 //! 64,1k,16k,256k,1m,4m`, `k` = ×1024, `m` = ×1024²) — measures the same
 //! two operations on flat WF²Q+ trees of growing width, once per eligible
-//! set backend (dual heap, treap, calendar). Dispatch cost is dominated
-//! by the eligible set: the heap rows must grow sub-linearly (O(log N)),
-//! the calendar rows near-flat (amortized O(1)); the committed baseline
-//! pins both curves. `--eligible <dual-heap|treap|calendar>` restricts
-//! the sweep to one backend for targeted runs.
+//! set backend (dual heap, calendar). Dispatch cost is dominated by the
+//! eligible set: the heap rows must grow sub-linearly (O(log N)), the
+//! calendar rows near-flat (amortized O(1)); the committed baseline pins
+//! both curves. `--eligible <dual-heap|calendar>` restricts the sweep to
+//! one backend for targeted runs.
+//!
+//! Every node runs the PIFO substrate (`SchedulerKind::build_on`). Rows on
+//! the default dual heap end in `/pifo`; `bench_compare` gates each of
+//! them against the hand-rolled `<name>` row that the committed baseline
+//! still holds from when those implementations were benchmarked.
 //!
 //! Output: aligned rows on stdout, plus `--json <path>` for the
 //! machine-readable form committed as `results/bench_baseline.json`.
@@ -29,44 +34,73 @@ use hpfq_bench::microbench::{
 };
 use hpfq_core::pifo::rank::DrrRank;
 use hpfq_core::{
-    Drr, EligibleBackend, Hierarchy, MixedScheduler, NodeId, Packet, PifoTree, SchedulerKind,
+    CalendarEligibleSet, DualHeapEligibleSet, Hierarchy, MixedScheduler, NodeId, Packet,
+    PifoBackend, PifoTree, SchedulerKind,
 };
 use hpfq_obs::SpanKind;
 use hpfq_sim::{CbrSource, Network, Route};
 
-/// Which scheduler implementation backs every tree node.
+/// Which eligible-set structure backs the PIFO substrate at every node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
-    /// `SchedulerKind::build_with_backend`: the shared PIFO substrate on
-    /// the given eligible-set backend (`DualHeap` is the product default).
-    Pifo(EligibleBackend),
-    /// `SchedulerKind::build_legacy`: the hand-rolled originals — the
-    /// committed dispatch baseline PIFO rows must stay within 15% of.
-    Legacy,
+    /// The lazy dual heap — the default `SchedulerKind::build` ships.
+    DualHeap,
+    /// The hierarchical calendar queue.
+    Calendar,
 }
 
 impl Backend {
-    /// Row-name suffix: legacy rows keep their historical names, default
-    /// PIFO rows append `/pifo` (bench_compare also gates each
-    /// `<name>/pifo` row against the committed hand-rolled `<name>` row),
-    /// and alternate eligible sets append `/pifo-<backend>`.
+    const ALL: [Backend; 2] = [Backend::DualHeap, Backend::Calendar];
+
+    /// Row-name suffix: default rows append `/pifo` (bench_compare also
+    /// gates each `<name>/pifo` row against the committed hand-rolled
+    /// `<name>` row), the calendar appends `/pifo-calendar`.
     fn suffix(self) -> &'static str {
         match self {
-            Backend::Pifo(EligibleBackend::DualHeap) => "/pifo",
-            Backend::Pifo(EligibleBackend::Treap) => "/pifo-treap",
-            Backend::Pifo(EligibleBackend::Calendar) => "/pifo-calendar",
-            Backend::Legacy => "",
+            Backend::DualHeap => "/pifo",
+            Backend::Calendar => "/pifo-calendar",
+        }
+    }
+
+    /// Ns per dispatch on this backend (see [`bench_dispatch`]).
+    fn dispatch_ns(
+        self,
+        kind: SchedulerKind,
+        depth: u32,
+        fanout: usize,
+        profile: Profile,
+        drr_base: Option<f64>,
+    ) -> f64 {
+        match self {
+            Backend::DualHeap => {
+                bench_dispatch::<DualHeapEligibleSet>(kind, depth, fanout, profile, drr_base)
+            }
+            Backend::Calendar => {
+                bench_dispatch::<CalendarEligibleSet>(kind, depth, fanout, profile, drr_base)
+            }
+        }
+    }
+
+    /// Ns per arrival on this backend (see [`bench_enqueue`]).
+    fn enqueue_ns(self, kind: SchedulerKind, depth: u32, fanout: usize, profile: Profile) -> f64 {
+        match self {
+            Backend::DualHeap => bench_enqueue::<DualHeapEligibleSet>(kind, depth, fanout, profile),
+            Backend::Calendar => bench_enqueue::<CalendarEligibleSet>(kind, depth, fanout, profile),
         }
     }
 }
 
-/// Parses `--eligible <dual-heap|treap|calendar>`: restricts the scaling
-/// sweep to one PIFO backend (the depth-shape rows always run the
-/// dual-heap default, which is what ships).
-fn eligible_from_args(args: &[String]) -> Option<EligibleBackend> {
+/// Parses `--eligible <dual-heap|calendar>`: restricts the scaling sweep
+/// to one backend (the depth-shape rows always run the dual-heap default,
+/// which is what ships).
+fn eligible_from_args(args: &[String]) -> Option<Backend> {
     let pos = args.iter().position(|a| a == "--eligible")?;
     let v = args.get(pos + 1).expect("--eligible requires a value");
-    Some(v.parse().unwrap_or_else(|e| panic!("--eligible: {e}")))
+    match v.as_str() {
+        "dual-heap" | "dualheap" | "dual_heap" | "heap" => Some(Backend::DualHeap),
+        "calendar" | "cal" => Some(Backend::Calendar),
+        other => panic!("--eligible: unknown eligible backend '{other}'"),
+    }
 }
 
 const LEAVES: usize = 64;
@@ -76,9 +110,7 @@ const SHAPES: [(&str, u32, usize); 2] = [("depth1", 1, 64), ("depth3", 3, 4)];
 const DEFAULT_SIZES: [u32; 6] = [64, 1024, 16384, 262144, 1_048_576, 4_194_304];
 
 /// Builds a uniform `depth`-level tree of `fanout^depth` leaves running
-/// `kind` at every node, on the PIFO substrate (`Backend::Pifo`, the
-/// product default) or the hand-rolled originals (`Backend::Legacy`, the
-/// committed perf baseline the PIFO rows are gated against).
+/// `kind` at every node, on the PIFO substrate over the backend `B`.
 ///
 /// DRR nodes run at the policy's designed operating point unless
 /// `drr_base` overrides it: a per-session quantum of one MTU (12 kbit).
@@ -88,23 +120,19 @@ const DEFAULT_SIZES: [u32; 6] = [64, 1024, 16384, 262144, 1_048_576, 4_194_304];
 /// each dispatch degenerates to ~64 ring rotations. That regime is a
 /// rotation-loop stress test, not a dispatch-rate measurement — the
 /// ungated `stress` rows keep it visible.
-fn build(
+fn build<B: PifoBackend>(
     kind: SchedulerKind,
-    backend: Backend,
     depth: u32,
     fanout: usize,
     drr_base: Option<f64>,
-) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
+) -> (Hierarchy<MixedScheduler<B>>, Vec<NodeId>) {
     let drr_base = drr_base.unwrap_or(12_000.0 * fanout as f64);
-    let mut bld = Hierarchy::builder(1e9, move |rate| match (backend, kind) {
-        (Backend::Pifo(EligibleBackend::DualHeap), SchedulerKind::Drr) => {
-            MixedScheduler::PifoDrr(PifoTree::new(rate, DrrRank::with_quantum_base(drr_base)))
-        }
-        (Backend::Legacy, SchedulerKind::Drr) => {
-            MixedScheduler::Drr(Drr::with_quantum_base(rate, drr_base))
-        }
-        (Backend::Pifo(eb), _) => kind.build_with_backend(rate, eb),
-        (Backend::Legacy, _) => kind.build_legacy(rate),
+    let mut bld = Hierarchy::builder(1e9, move |rate| match kind {
+        SchedulerKind::Drr => MixedScheduler::Drr(PifoTree::with_backend(
+            rate,
+            DrrRank::with_quantum_base(drr_base),
+        )),
+        _ => kind.build_on::<B>(rate),
     });
     let mut parents = vec![bld.root()];
     for _ in 1..depth {
@@ -132,15 +160,14 @@ fn build(
 /// batch medians — medians alone still wander double-digit percent on a
 /// shared single-vCPU runner, and the minimum is the standard
 /// noise-robust estimator for tight loops.
-fn bench_dispatch(
+fn bench_dispatch<B: PifoBackend>(
     kind: SchedulerKind,
-    backend: Backend,
     depth: u32,
     fanout: usize,
     profile: Profile,
     drr_base: Option<f64>,
 ) -> f64 {
-    let (mut h, leaves) = build(kind, backend, depth, fanout, drr_base);
+    let (mut h, leaves) = build::<B>(kind, depth, fanout, drr_base);
     let mut id = 0u64;
     for &leaf in &leaves {
         for _ in 0..2 {
@@ -173,14 +200,13 @@ fn bench_dispatch(
 }
 
 /// Median ns per arrival into a backlogged leaf (round-robin over leaves).
-fn bench_enqueue(
+fn bench_enqueue<B: PifoBackend>(
     kind: SchedulerKind,
-    backend: Backend,
     depth: u32,
     fanout: usize,
     profile: Profile,
 ) -> f64 {
-    let (mut h, leaves) = build(kind, backend, depth, fanout, None);
+    let (mut h, leaves) = build::<B>(kind, depth, fanout, None);
     let mut id = 0u64;
     for &leaf in &leaves {
         id += 1;
@@ -273,16 +299,12 @@ fn main() {
     );
     for (label, depth, fanout) in SHAPES {
         for kind in SchedulerKind::ALL {
-            for backend in [Backend::Legacy, Backend::Pifo(EligibleBackend::DualHeap)] {
-                if backend == Backend::Legacy && !kind.has_legacy() {
-                    continue; // rr is PIFO-native; no hand-rolled oracle row
-                }
-                let name = format!("{}/{label}{}", kind.name(), backend.suffix());
-                let ns = bench_dispatch(kind, backend, depth, fanout, profile, None);
-                records.push(BenchRecord::reported("dispatch", &name, LEAVES, ns));
-                let ns = bench_enqueue(kind, backend, depth, fanout, profile);
-                records.push(BenchRecord::reported("enqueue", &name, LEAVES, ns));
-            }
+            let backend = Backend::DualHeap;
+            let name = format!("{}/{label}{}", kind.name(), backend.suffix());
+            let ns = backend.dispatch_ns(kind, depth, fanout, profile, None);
+            records.push(BenchRecord::reported("dispatch", &name, LEAVES, ns));
+            let ns = backend.enqueue_ns(kind, depth, fanout, profile);
+            records.push(BenchRecord::reported("enqueue", &name, LEAVES, ns));
         }
     }
 
@@ -293,21 +315,15 @@ fn main() {
     println!("== scaling sweep (wf2q+, flat): sizes {:?} ==", sizes);
     let kind = SchedulerKind::Wf2qPlus;
     let backends: Vec<Backend> = match eligible {
-        Some(eb) => vec![Backend::Pifo(eb)],
-        None => std::iter::once(Backend::Legacy)
-            .chain(
-                EligibleBackend::all_for(kind)
-                    .iter()
-                    .map(|&eb| Backend::Pifo(eb)),
-            )
-            .collect(),
+        Some(b) => vec![b],
+        None => Backend::ALL.to_vec(),
     };
     for &size in &sizes {
         for &backend in &backends {
             let name = format!("wf2q+/scale{}", backend.suffix());
-            let ns = bench_dispatch(kind, backend, 1, size as usize, profile, None);
+            let ns = backend.dispatch_ns(kind, 1, size as usize, profile, None);
             records.push(BenchRecord::reported("dispatch", &name, size as usize, ns));
-            let ns = bench_enqueue(kind, backend, 1, size as usize, profile);
+            let ns = backend.enqueue_ns(kind, 1, size as usize, profile);
             records.push(BenchRecord::reported("enqueue", &name, size as usize, ns));
         }
     }
@@ -315,21 +331,13 @@ fn main() {
     // Sub-MTU-quantum DRR stress rows: the crate's default quantum base
     // shared across 64 flows gives 187.5-bit quanta vs 12-kbit packets, so
     // every dispatch pays ~64 ring rotations. Useful for watching the
-    // rotation loop of both backends; deliberately NOT in the gated
-    // `dispatch` group (see `build` docs).
+    // rotation loop; deliberately NOT in the gated `dispatch` group (see
+    // `build` docs).
     println!("== stress: sub-MTU-quantum drr ==");
-    for backend in [Backend::Legacy, Backend::Pifo(EligibleBackend::DualHeap)] {
-        let name = format!("drr/subquantum{}", backend.suffix());
-        let ns = bench_dispatch(
-            SchedulerKind::Drr,
-            backend,
-            1,
-            LEAVES,
-            profile,
-            Some(12_000.0),
-        );
-        records.push(BenchRecord::reported("stress", &name, LEAVES, ns));
-    }
+    let backend = Backend::DualHeap;
+    let name = format!("drr/subquantum{}", backend.suffix());
+    let ns = backend.dispatch_ns(SchedulerKind::Drr, 1, LEAVES, profile, Some(12_000.0));
+    records.push(BenchRecord::reported("stress", &name, LEAVES, ns));
 
     // Event-engine section: wall clock through the full Network loop (and,
     // with `--features profile`, the per-phase span breakdown).

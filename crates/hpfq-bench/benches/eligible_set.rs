@@ -1,7 +1,7 @@
 //! Ablation of the SEFF eligible-set structure (DESIGN.md §3.4): dual
-//! lazy heaps (migration on virtual-time advance) vs an augmented treap
-//! (single-descent queries) vs the hierarchical calendar queue (amortized
-//! O(1) bucket rotation), plus the O(N) brute-force reference for scale.
+//! lazy heaps (migration on virtual-time advance) vs the hierarchical
+//! calendar queue (amortized O(1) bucket rotation), plus the O(N)
+//! brute-force reference for scale.
 //!
 //! The workload mirrors a busy WF²Q+ node: N sessions resident; each
 //! iteration pops the minimum-finish eligible session at an advancing
@@ -9,8 +9,8 @@
 
 use hpfq_bench::microbench::{report, time_op};
 use hpfq_core::eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, treap::TreapEligibleSet,
-    BruteForceEligibleSet, EligibleSet,
+    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, BruteForceEligibleSet,
+    EligibleSet,
 };
 use hpfq_core::SessionId;
 
@@ -54,8 +54,6 @@ fn main() {
     for n in [16usize, 64, 256, 1024, 4096, 65536, 1 << 20] {
         let mut h = Harness::new(DualHeapEligibleSet::new(), n);
         report("eligible_set", "dual_heap", n, time_op(|| h.step()));
-        let mut h = Harness::new(TreapEligibleSet::new(), n);
-        report("eligible_set", "treap", n, time_op(|| h.step()));
         let mut h = Harness::new(CalendarEligibleSet::new(), n);
         report("eligible_set", "calendar", n, time_op(|| h.step()));
         if n <= 1024 {

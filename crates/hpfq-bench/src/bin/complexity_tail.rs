@@ -16,7 +16,8 @@
 
 use hpfq_analysis::CsvWriter;
 use hpfq_bench::experiments::results_dir;
-use hpfq_core::{NodeScheduler, Wf2q, Wfq};
+use hpfq_core::pifo::rank::{Wf2qRank, WfqRank};
+use hpfq_core::{NodeScheduler, PifoTree};
 
 const PKT_BITS: f64 = 12_000.0;
 
@@ -74,16 +75,16 @@ fn main() {
     let mut w = CsvWriter::create(dir.join("tail.csv"), &["algo", "n", "worst_sweep"]).unwrap();
     print!("{:<8}", "wfq");
     for n in sizes {
-        let mut s = Wfq::new(1e9);
-        let sweep = run(&mut s, n, 20, |s| s.worst_clock_sweep());
+        let mut s = PifoTree::new(1e9, WfqRank::new());
+        let sweep = run(&mut s, n, 20, |s| s.program().worst_clock_sweep());
         print!(" {sweep:>9}");
         w.labeled_row("wfq", &[n as f64, sweep as f64]).unwrap();
     }
     println!();
     print!("{:<8}", "wf2q");
     for n in sizes {
-        let mut s = Wf2q::new(1e9);
-        let sweep = run(&mut s, n, 20, |s| s.worst_clock_sweep());
+        let mut s = PifoTree::new(1e9, Wf2qRank::new());
+        let sweep = run(&mut s, n, 20, |s| s.program().worst_clock_sweep());
         print!(" {sweep:>9}");
         w.labeled_row("wf2q", &[n as f64, sweep as f64]).unwrap();
     }

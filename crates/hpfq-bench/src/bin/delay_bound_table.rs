@@ -5,7 +5,7 @@
 
 use hpfq_analysis::{corollary2_bound, CsvWriter};
 use hpfq_bench::experiments::results_dir;
-use hpfq_core::{vtime, Hierarchy, NodeId, Wf2qPlus};
+use hpfq_core::{vtime, Hierarchy, NodeId, SchedulerKind};
 use hpfq_sim::{CbrSource, GreedyLbSource, Simulation, SmallRng, SourceConfig};
 
 const PKT: u32 = 1000; // bytes; L_max = 8000 bits
@@ -18,7 +18,7 @@ struct Trial {
 }
 
 fn run_trial(rng: &mut SmallRng, depth: usize) -> Trial {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r));
     let mut parent = bld.root();
     let mut rates_path_rev = Vec::new(); // root-side first, leaf last
 

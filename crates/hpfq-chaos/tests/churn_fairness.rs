@@ -9,7 +9,7 @@
 //! exceed WF²Q+'s.
 
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, theorem1_bwfi, wf2q_plus_bwfi};
-use hpfq_core::{Hierarchy, NodeScheduler, Scfq, Wf2qPlus};
+use hpfq_core::{Hierarchy, NodeScheduler, SchedulerKind};
 use hpfq_sim::{SimCommand, Simulation, SourceConfig, TraceSource};
 
 const RATE: f64 = 1000.0; // 1 packet per second
@@ -91,8 +91,8 @@ fn measured_bwfi<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static) -> Vec<
 
 #[test]
 fn wf2q_plus_post_churn_wfi_within_theorem1_and_below_scfq() {
-    let wf2q = measured_bwfi(Wf2qPlus::new);
-    let scfq = measured_bwfi(Scfq::new);
+    let wf2q = measured_bwfi(|r| SchedulerKind::Wf2qPlus.build(r));
+    let scfq = measured_bwfi(|r| SchedulerKind::Scfq.build(r));
 
     // Theorem 1 / eq. (23): per-level α from eq. (30); all packets are
     // equal-size so each α is one packet.

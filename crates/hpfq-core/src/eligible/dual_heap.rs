@@ -30,7 +30,7 @@
 //! takes an optional eligibility key (absent = immediately eligible, as in
 //! the un-gated policies WFQ/SCFQ/SFQ/FIFO/DRR) and a `(primary,
 //! secondary)` rank pair ordered lexicographically with ties broken by
-//! session id — exactly the `tag_heap` order, so both legacy backing
+//! session id — exactly the `tag_heap` order, so both hand-rolled backing
 //! structures collapse onto this one.
 //!
 //! Immediately-eligible inserts whose ranks arrive in nondecreasing order
@@ -156,7 +156,7 @@ impl DualHeapEligibleSet {
     /// [`EligibleSet::pop_min_finish`] applies to eligibility keys exactly
     /// as it does to start tags. Gated inserts order the pending heap by
     /// `(eligibility, secondary, id)`; every in-tree gated rank carries a
-    /// zero secondary, reproducing the legacy `(start, id)` order.
+    /// zero secondary, reproducing the hand-rolled `(start, id)` order.
     ///
     /// This is the per-packet hot path of the PIFO substrate, so the rank
     /// validity checks (finite, not already a member) are debug assertions;
@@ -272,7 +272,7 @@ impl DualHeapEligibleSet {
 
     /// Pop for `MONOTONE_RANKS` programs: the heaps are provably empty (no
     /// gated or out-of-order insert ever happened), so the minimum rank is
-    /// the tail front — one deque pop, exactly a legacy ring.
+    /// the tail front — one deque pop, exactly a hand-rolled ring.
     #[inline]
     pub(crate) fn pop_monotone(&mut self) -> Option<SessionId> {
         debug_assert!(
@@ -439,8 +439,8 @@ impl EligibleSet for DualHeapEligibleSet {
         } else {
             let smin = self
                 .pending_min_start()
-                // lint:allow(L002): len() > 0 and ready is empty, so pending
-                // holds at least one current-generation entry
+                // len() > 0 and ready is empty, so pending holds at least
+                // one current-generation entry.
                 .expect("live members must be in a heap");
             Some(v.max(smin))
         }
@@ -451,7 +451,7 @@ impl EligibleSet for DualHeapEligibleSet {
         self.migrate(thr);
         // Ring-discipline fast path: everything lives in the monotone tail
         // (FIFO/DRR steady state), so a pop is one deque front like the
-        // legacy rings — tail entries are always live (see remove()), so
+        // hand-rolled rings — tail entries are always live (see remove()), so
         // no generation check either.
         if self.ready.is_empty() {
             let top = self.ready_tail.pop_front()?;

@@ -8,23 +8,25 @@
 //! sessions, to evaluate the `max(V, Smin)` operation of the paper's
 //! eq. (27) / RESTART-NODE line 12.
 //!
-//! Two O(log N) implementations are provided behind the [`EligibleSet`]
-//! trait:
+//! Two implementations back the PIFO driver ([`crate::pifo::PifoTree`])
+//! through the [`PifoBackend`] trait, and both also implement the narrow
+//! [`EligibleSet`] queries:
 //!
 //! * [`dual_heap::DualHeapEligibleSet`] — a pair of lazy binary heaps
 //!   (pending sessions ordered by start time, eligible ones by finish time);
-//!   sessions migrate as the virtual time advances. This is the structure
-//!   used by production WF²Q+ implementations (e.g. dummynet).
-//! * [`treap::TreapEligibleSet`] — a randomized balanced BST keyed by start
-//!   time in which every subtree caches its minimum finish time, answering
-//!   the query in a single descent with no migration.
+//!   sessions migrate as the virtual time advances. Amortized O(log N), and
+//!   the default: the structure used by production WF²Q+ implementations
+//!   (e.g. dummynet).
+//! * [`calendar::CalendarEligibleSet`] — a hierarchical calendar queue
+//!   (timing wheel) with amortized O(1) inserts and pops, for very large
+//!   flow counts.
 //!
-//! Both are exercised against [`BruteForceEligibleSet`] in unit and property
-//! tests, and against each other in the `eligible_set` bench ablation.
+//! Each is checked against [`BruteForceEligibleSet`] in unit and property
+//! tests, and against the other in the PIFO equivalence suite and the
+//! `eligible_set` bench ablation.
 
 pub mod calendar;
 pub mod dual_heap;
-pub mod treap;
 
 use crate::scheduler::SessionId;
 use crate::vtime;
@@ -33,12 +35,11 @@ use crate::vtime;
 ///
 /// This is the generalized *ranked* interface the dual-heap set grew for the
 /// PIFO substrate, lifted to a trait so the driver can swap structures: the
-/// dual heap (amortized O(log N)), the treap (worst-case O(log N) start-keyed
-/// BST), and the hierarchical calendar queue (amortized O(1)). Every method
-/// mirrors the dual-heap original; the semantic contract — rank model,
-/// monotone thresholds within a busy period, id tie-breaks, the
-/// `MONOTONE_RANKS` tail promise — is documented on
-/// [`dual_heap::DualHeapEligibleSet`] and applies verbatim to every
+/// dual heap (amortized O(log N)) and the hierarchical calendar queue
+/// (amortized O(1)). Every method mirrors the dual-heap original; the
+/// semantic contract — rank model, monotone thresholds within a busy
+/// period, id tie-breaks, the `MONOTONE_RANKS` tail promise — is documented
+/// on [`dual_heap::DualHeapEligibleSet`] and applies verbatim to every
 /// implementation. All implementations must pop in the exact same
 /// `(primary, secondary, id)` order: the PIFO equivalence suite drives them
 /// in lockstep and requires byte-identical dispatch sequences.
@@ -130,26 +131,6 @@ pub trait EligibleSet {
     fn clear(&mut self);
 }
 
-/// Deterministic total-order key for selecting the minimum-finish eligible
-/// session: finish tag, then session id (the paper's Fig. 2 tie-break).
-/// `start` is carried along as the BST key for deletions, not for ordering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FinishKey {
-    pub finish: f64,
-    pub start: f64,
-    pub id: SessionId,
-}
-
-impl FinishKey {
-    pub(crate) fn better_than(&self, other: &FinishKey) -> bool {
-        // Exact comparison and exact stamp equality: the id tie-break only
-        // fires on *identical* finish tags (paper Fig. 2 determinism), and
-        // a tolerance here would reorder dispatch.
-        vtime::exactly_lt(self.finish, other.finish)
-            || (vtime::same_stamp(self.finish, other.finish) && self.id.0 < other.id.0)
-    }
-}
-
 /// O(N) reference implementation used as the oracle in tests.
 #[derive(Debug, Default, Clone)]
 pub struct BruteForceEligibleSet {
@@ -178,18 +159,24 @@ impl EligibleSet for BruteForceEligibleSet {
     }
 
     fn pop_min_finish(&mut self, thr: f64) -> Option<SessionId> {
-        let mut best: Option<(usize, FinishKey)> = None;
+        // Exact comparison and exact stamp equality: the id tie-break only
+        // fires on *identical* finish tags (paper Fig. 2 determinism), and
+        // a tolerance here would reorder dispatch.
+        let better = |(id, finish): (SessionId, f64), (bid, bfinish): (SessionId, f64)| {
+            vtime::exactly_lt(finish, bfinish)
+                || (vtime::same_stamp(finish, bfinish) && id.0 < bid.0)
+        };
+        let mut best: Option<(usize, SessionId, f64)> = None;
         for (i, &(id, start, finish)) in self.members.iter().enumerate() {
-            if vtime::exactly_le(start, thr) {
-                let key = FinishKey { finish, start, id };
-                if best.as_ref().is_none_or(|(_, b)| key.better_than(b)) {
-                    best = Some((i, key));
-                }
+            if vtime::exactly_le(start, thr)
+                && best.is_none_or(|(_, bid, bf)| better((id, finish), (bid, bf)))
+            {
+                best = Some((i, id, finish));
             }
         }
-        best.map(|(i, key)| {
+        best.map(|(i, id, _)| {
             self.members.swap_remove(i);
-            key.id
+            id
         })
     }
 

@@ -166,11 +166,15 @@ impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
 /// construction only, so the finished hierarchy is plain data — no boxed
 /// closure rides along on the hot path.
 ///
-/// ```ignore
-/// let mut b = HierarchyBuilder::new(1e9, Wf2qPlus::new);
+/// ```
+/// use hpfq_core::{HierarchyBuilder, SchedulerKind};
+///
+/// let mut b = HierarchyBuilder::new(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
 /// let cls = b.add_internal(b.root(), 0.8)?;
 /// let leaf = b.add_leaf(cls, 0.5)?;
-/// let mut h = b.build();
+/// let h = b.build();
+/// # let _ = (leaf, h);
+/// # Ok::<(), hpfq_core::HpfqError>(())
 /// ```
 ///
 /// Mid-run churn does not need the factory: leaves attach via
@@ -309,7 +313,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     ///
     /// Drivers that vary the service rate (fault injection, shaped links)
     /// must call this at every change; otherwise the GPS emulation of
-    /// [`crate::Wfq`]/[`crate::Wf2q`] measures elapsed *real* time against
+    /// the WFQ/WF²Q rank programs measures elapsed *real* time against
     /// work-based tags and its virtual time loses monotonicity.
     pub fn set_link_rate_factor(&mut self, now: f64, factor: f64) -> Result<(), HpfqError> {
         if !(factor.is_finite() && factor >= 0.0) {

@@ -1,28 +1,30 @@
 //! # hpfq-core — Packet Fair Queueing schedulers and the H-PFQ hierarchy
 //!
 //! This crate implements the scheduling algorithms of *Hierarchical Packet
-//! Fair Queueing Algorithms* (Bennett & Zhang, SIGCOMM 1996):
+//! Fair Queueing Algorithms* (Bennett & Zhang, SIGCOMM 1996) on one
+//! substrate: [`PifoTree`], a programmable scheduler in the PIFO model of
+//! Sivaraman et al. (SIGCOMM 2016), drives a per-policy [`RankProgram`]
+//! over a pluggable priority structure ([`PifoBackend`]).
 //!
-//! * [`Wf2qPlus`] — the paper's contribution: the WF²Q+ algorithm, a
-//!   Smallest-Eligible-virtual-Finish-time-First (SEFF) scheduler driven by
-//!   the low-complexity virtual time function of eq. (27), with O(log N)
-//!   per-packet cost.
-//! * [`Wfq`] and [`Wf2q`] — the classic baselines that track the exact GPS
-//!   fluid virtual time (O(N) worst case, see [`GpsClock`]).
-//! * [`Scfq`], [`Sfq`], [`Drr`], [`Fifo`] — the related low-complexity
-//!   schedulers the paper compares against in its related-work discussion.
+//! * [`SchedulerKind`] names the policies and builds a node:
+//!   `SchedulerKind::Wf2qPlus.build(rate)` returns a [`MixedScheduler`]
+//!   running that policy's rank program on the SoA dual heap
+//!   ([`DualHeapEligibleSet`]); [`SchedulerKind::build_on`] picks another
+//!   backend, such as the amortized-O(1) [`CalendarEligibleSet`].
+//! * The rank programs in [`pifo::rank`]: WF²Q+ — the paper's
+//!   contribution, a Smallest-Eligible-virtual-Finish-time-First (SEFF)
+//!   scheduler driven by the low-complexity virtual time of eq. (27),
+//!   O(log N) per packet; the WFQ and WF²Q baselines, which track the
+//!   exact GPS fluid virtual time (O(N) worst case, see [`GpsClock`]); and
+//!   SCFQ, SFQ, DRR, FIFO and overlapped round robin, the low-complexity
+//!   schedulers of the paper's related-work discussion.
 //! * [`Hierarchy`] — the H-PFQ construction of §4: a tree of one-level
 //!   schedulers implementing the paper's ARRIVE / RESTART-NODE / RESET-PATH
 //!   pseudocode, generic over the node scheduler (H-WFQ, H-SCFQ, H-WF²Q+, …).
 //!
-//! All seven policies run on one substrate: [`PifoTree`], a programmable
-//! scheduler in the PIFO model of Sivaraman et al. (SIGCOMM 2016), drives
-//! any [`RankProgram`] over the SoA dual-heap priority structure —
-//! [`SchedulerKind::build`] constructs PIFO-backed nodes by default. The
-//! hand-rolled per-policy implementations named above remain behind the
-//! `legacy-schedulers` feature (on by default for one release) as the
-//! differential oracle proving each rank program byte-identical; see the
-//! [`pifo`] module docs.
+//! Each rank program is held byte-identical to an independent hand-rolled
+//! implementation of its policy by the differential suite in the
+//! repository's `tests/pifo_equivalence.rs`; see the [`pifo`] module docs.
 //!
 //! ## Conventions
 //!
@@ -46,30 +48,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "legacy-schedulers")]
-pub mod drr;
 pub mod eligible;
 pub mod error;
-#[cfg(feature = "legacy-schedulers")]
-pub mod fifo;
 pub mod gps_clock;
 pub mod hierarchy;
 pub mod mixed;
 pub mod packet;
 pub mod pifo;
-#[cfg(feature = "legacy-schedulers")]
-pub mod scfq;
 pub mod scheduler;
-#[cfg(feature = "legacy-schedulers")]
-pub mod sfq;
-#[cfg(feature = "legacy-schedulers")]
-mod tag_heap;
-#[cfg(feature = "legacy-schedulers")]
-pub mod wf2q;
-#[cfg(feature = "legacy-schedulers")]
-pub mod wf2q_plus;
-#[cfg(feature = "legacy-schedulers")]
-pub mod wfq;
 
 /// Canonical virtual-time comparison helpers (single `EPS`, tolerance-aware
 /// and exact comparisons). Implemented in `hpfq-obs` — the root of the
@@ -78,31 +64,16 @@ pub mod wfq;
 /// rules L001/L003 enforce its use).
 pub use hpfq_obs::vtime;
 
-#[cfg(feature = "legacy-schedulers")]
-pub use drr::Drr;
 pub use eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, treap::TreapEligibleSet,
-    EligibleSet, PifoBackend,
+    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, EligibleSet, PifoBackend,
 };
 pub use error::HpfqError;
-#[cfg(feature = "legacy-schedulers")]
-pub use fifo::Fifo;
 pub use gps_clock::GpsClock;
 pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
-pub use mixed::{EligibleBackend, MixedScheduler, SchedulerKind};
+pub use mixed::{MixedScheduler, SchedulerKind};
 pub use packet::Packet;
 pub use pifo::{Admission, PifoTree, Rank, RankProgram, Threshold};
-#[cfg(feature = "legacy-schedulers")]
-pub use scfq::Scfq;
-pub use scheduler::{NodeScheduler, SessionId, SessionState, SessionTable};
-#[cfg(feature = "legacy-schedulers")]
-pub use sfq::Sfq;
-#[cfg(feature = "legacy-schedulers")]
-pub use wf2q::Wf2q;
-#[cfg(feature = "legacy-schedulers")]
-pub use wf2q_plus::Wf2qPlus;
-#[cfg(feature = "legacy-schedulers")]
-pub use wfq::Wfq;
+pub use scheduler::{NodeScheduler, SessionId, SessionTable};
 
 /// Converts a packet length in bytes to bits.
 #[inline]

@@ -1,6 +1,5 @@
 //! Runtime-selectable scheduler: a [`SchedulerKind`] factory and a
-//! [`MixedScheduler`] enum dispatching to every one-level policy in the
-//! crate.
+//! [`MixedScheduler`] enum with one [`PifoTree`] variant per policy.
 //!
 //! Two uses:
 //!
@@ -11,25 +10,13 @@
 
 use hpfq_obs::snap::{SnapError, Value};
 
-#[cfg(feature = "legacy-schedulers")]
-use crate::drr::Drr;
-#[cfg(feature = "legacy-schedulers")]
-use crate::fifo::Fifo;
-use crate::eligible::calendar::CalendarEligibleSet;
-use crate::eligible::treap::TreapEligibleSet;
-use crate::pifo::rank::{DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank};
+use crate::eligible::dual_heap::DualHeapEligibleSet;
+use crate::eligible::PifoBackend;
+use crate::pifo::rank::{
+    DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
+};
 use crate::pifo::PifoTree;
-#[cfg(feature = "legacy-schedulers")]
-use crate::scfq::Scfq;
 use crate::scheduler::{NodeScheduler, SessionId};
-#[cfg(feature = "legacy-schedulers")]
-use crate::sfq::Sfq;
-#[cfg(feature = "legacy-schedulers")]
-use crate::wf2q::Wf2q;
-#[cfg(feature = "legacy-schedulers")]
-use crate::wf2q_plus::Wf2qPlus;
-#[cfg(feature = "legacy-schedulers")]
-use crate::wfq::Wfq;
 
 /// Identifies a one-level scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +36,7 @@ pub enum SchedulerKind {
     /// FIFO.
     Fifo,
     /// Overlapped round robin (integer finish rounds; see
-    /// [`crate::pifo::rank::RrRank`]). PIFO-native — no legacy original.
+    /// [`crate::pifo::rank::RrRank`]).
     Rr,
 }
 
@@ -66,108 +53,46 @@ impl SchedulerKind {
         SchedulerKind::Rr,
     ];
 
-    /// Whether a hand-rolled (pre-PIFO) original exists for this kind —
-    /// i.e. whether [`SchedulerKind::build_legacy`] is callable. The
-    /// differential suites iterate [`SchedulerKind::ALL`] and skip the
-    /// legacy oracle where there is none.
-    pub fn has_legacy(self) -> bool {
-        !matches!(self, SchedulerKind::Rr)
+    /// Builds a scheduler of this kind for a server of `rate_bps`: a
+    /// [`PifoTree`] running this kind's rank program over the default
+    /// dual-heap priority structure.
+    pub fn build(self, rate_bps: f64) -> MixedScheduler {
+        self.build_on::<DualHeapEligibleSet>(rate_bps)
     }
 
-    /// Builds a scheduler of this kind for a server of `rate_bps`, backed
-    /// by the PIFO substrate ([`PifoTree`] running this kind's rank
-    /// program) — byte-identical to the hand-rolled implementation, which
-    /// remains available via [`SchedulerKind::build_legacy`].
-    pub fn build(self, rate_bps: f64) -> MixedScheduler {
-        // One monomorphized `PifoTree<P>` per program: the driver inlines
+    /// Builds a scheduler of this kind over the priority structure `B`
+    /// (e.g. [`crate::CalendarEligibleSet`] for amortized O(1) dispatch at
+    /// scale). Every backend pops in the same rank order, so the choice
+    /// affects cost, never behavior.
+    pub fn build_on<B: PifoBackend>(self, rate_bps: f64) -> MixedScheduler<B> {
+        // One monomorphized `PifoTree<P, B>` per program: the driver inlines
         // each policy's rank hooks instead of matching a program enum on
         // every per-packet call.
         match self {
             SchedulerKind::Wf2qPlus => {
-                MixedScheduler::PifoWf2qPlus(PifoTree::new(rate_bps, Wf2qPlusRank::new()))
+                MixedScheduler::Wf2qPlus(PifoTree::with_backend(rate_bps, Wf2qPlusRank::new()))
             }
-            SchedulerKind::Wfq => MixedScheduler::PifoWfq(PifoTree::new(rate_bps, WfqRank::new())),
+            SchedulerKind::Wfq => {
+                MixedScheduler::Wfq(PifoTree::with_backend(rate_bps, WfqRank::new()))
+            }
             SchedulerKind::Wf2q => {
-                MixedScheduler::PifoWf2q(PifoTree::new(rate_bps, Wf2qRank::new()))
+                MixedScheduler::Wf2q(PifoTree::with_backend(rate_bps, Wf2qRank::new()))
             }
             SchedulerKind::Scfq => {
-                MixedScheduler::PifoScfq(PifoTree::new(rate_bps, ScfqRank::new()))
+                MixedScheduler::Scfq(PifoTree::with_backend(rate_bps, ScfqRank::new()))
             }
-            SchedulerKind::Sfq => MixedScheduler::PifoSfq(PifoTree::new(rate_bps, SfqRank::new())),
-            SchedulerKind::Drr => MixedScheduler::PifoDrr(PifoTree::new(rate_bps, DrrRank::new())),
+            SchedulerKind::Sfq => {
+                MixedScheduler::Sfq(PifoTree::with_backend(rate_bps, SfqRank::new()))
+            }
+            SchedulerKind::Drr => {
+                MixedScheduler::Drr(PifoTree::with_backend(rate_bps, DrrRank::new()))
+            }
             SchedulerKind::Fifo => {
-                MixedScheduler::PifoFifo(PifoTree::new(rate_bps, FifoRank::new()))
+                MixedScheduler::Fifo(PifoTree::with_backend(rate_bps, FifoRank::new()))
             }
-            SchedulerKind::Rr => MixedScheduler::PifoRr(PifoTree::new(rate_bps, RrRank::new())),
-        }
-    }
-
-    /// Builds a scheduler of this kind on the chosen eligible-set backend.
-    /// `EligibleBackend::DualHeap` is exactly [`SchedulerKind::build`];
-    /// the calendar serves every kind; the treap orders strictly by
-    /// `(primary, id)` and is only exposed under WF²Q+ (the one gated
-    /// policy whose secondary keys are identically zero — see
-    /// `PifoBackend for TreapEligibleSet`).
-    pub fn build_with_backend(self, rate_bps: f64, backend: EligibleBackend) -> MixedScheduler {
-        match backend {
-            EligibleBackend::DualHeap => self.build(rate_bps),
-            EligibleBackend::Calendar => match self {
-                SchedulerKind::Wf2qPlus => MixedScheduler::CalWf2qPlus(PifoTree::with_backend(
-                    rate_bps,
-                    Wf2qPlusRank::new(),
-                )),
-                SchedulerKind::Wfq => {
-                    MixedScheduler::CalWfq(PifoTree::with_backend(rate_bps, WfqRank::new()))
-                }
-                SchedulerKind::Wf2q => {
-                    MixedScheduler::CalWf2q(PifoTree::with_backend(rate_bps, Wf2qRank::new()))
-                }
-                SchedulerKind::Scfq => {
-                    MixedScheduler::CalScfq(PifoTree::with_backend(rate_bps, ScfqRank::new()))
-                }
-                SchedulerKind::Sfq => {
-                    MixedScheduler::CalSfq(PifoTree::with_backend(rate_bps, SfqRank::new()))
-                }
-                SchedulerKind::Drr => {
-                    MixedScheduler::CalDrr(PifoTree::with_backend(rate_bps, DrrRank::new()))
-                }
-                SchedulerKind::Fifo => {
-                    MixedScheduler::CalFifo(PifoTree::with_backend(rate_bps, FifoRank::new()))
-                }
-                SchedulerKind::Rr => {
-                    MixedScheduler::CalRr(PifoTree::with_backend(rate_bps, RrRank::new()))
-                }
-            },
-            EligibleBackend::Treap => match self {
-                SchedulerKind::Wf2qPlus => MixedScheduler::TreapWf2qPlus(PifoTree::with_backend(
-                    rate_bps,
-                    Wf2qPlusRank::new(),
-                )),
-                other => panic!(
-                    "the treap backend only serves wf2q+ (zero secondary keys); got '{}'",
-                    other.name()
-                ),
-            },
-        }
-    }
-
-    /// Builds the hand-rolled (pre-PIFO) scheduler of this kind: the
-    /// differential oracle for `tests/pifo_equivalence.rs` and the bench
-    /// baseline. Kept for one release behind the `legacy-schedulers`
-    /// feature.
-    #[cfg(feature = "legacy-schedulers")]
-    pub fn build_legacy(self, rate_bps: f64) -> MixedScheduler {
-        match self {
-            SchedulerKind::Wf2qPlus => MixedScheduler::Wf2qPlus(Wf2qPlus::new(rate_bps)),
-            SchedulerKind::Wfq => MixedScheduler::Wfq(Wfq::new(rate_bps)),
-            SchedulerKind::Wf2q => MixedScheduler::Wf2q(Wf2q::new(rate_bps)),
-            SchedulerKind::Scfq => MixedScheduler::Scfq(Scfq::new(rate_bps)),
-            SchedulerKind::Sfq => MixedScheduler::Sfq(Sfq::new(rate_bps)),
-            SchedulerKind::Drr => MixedScheduler::Drr(Drr::new(rate_bps)),
-            SchedulerKind::Fifo => MixedScheduler::Fifo(Fifo::new(rate_bps)),
-            SchedulerKind::Rr => panic!(
-                "rr is PIFO-native and has no legacy original; gate on has_legacy()"
-            ),
+            SchedulerKind::Rr => {
+                MixedScheduler::Rr(PifoTree::with_backend(rate_bps, RrRank::new()))
+            }
         }
     }
 
@@ -204,140 +129,38 @@ impl std::str::FromStr for SchedulerKind {
     }
 }
 
-/// Identifies the priority structure backing a [`PifoTree`]: see
-/// [`crate::eligible::PifoBackend`]. Selected per experiment (e.g.
-/// `--eligible calendar` in the bench harness); every backend pops in the
-/// same rank order, so the choice affects cost, never behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EligibleBackend {
-    /// Lazy dual binary heaps — amortized O(log N), the default.
-    #[default]
-    DualHeap,
-    /// Start-keyed treap with subtree finish minima — worst-case O(log N);
-    /// WF²Q+ only (needs zero secondary keys).
-    Treap,
-    /// Hierarchical calendar queue / timing wheel — amortized O(1).
-    Calendar,
-}
-
-impl EligibleBackend {
-    /// Backends applicable to `kind` (for sweeps).
-    pub fn all_for(kind: SchedulerKind) -> &'static [EligibleBackend] {
-        if kind == SchedulerKind::Wf2qPlus {
-            &[
-                EligibleBackend::DualHeap,
-                EligibleBackend::Treap,
-                EligibleBackend::Calendar,
-            ]
-        } else {
-            &[EligibleBackend::DualHeap, EligibleBackend::Calendar]
-        }
-    }
-
-    /// Short structure name ("dual-heap", "treap", "calendar").
-    pub fn name(self) -> &'static str {
-        match self {
-            EligibleBackend::DualHeap => "dual-heap",
-            EligibleBackend::Treap => "treap",
-            EligibleBackend::Calendar => "calendar",
-        }
-    }
-}
-
-impl std::str::FromStr for EligibleBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dual-heap" | "dualheap" | "dual_heap" | "heap" => Ok(EligibleBackend::DualHeap),
-            "treap" => Ok(EligibleBackend::Treap),
-            "calendar" | "cal" => Ok(EligibleBackend::Calendar),
-            other => Err(format!("unknown eligible backend '{other}'")),
-        }
-    }
-}
-
-/// A one-level scheduler whose policy is chosen at runtime.
-///
-/// [`SchedulerKind::build`] always yields a `Pifo*` variant (one
-/// monomorphized [`PifoTree`] per rank program); the hand-rolled variants
-/// exist behind the `legacy-schedulers` feature (via
-/// [`SchedulerKind::build_legacy`]) as the differential oracle.
+/// A one-level scheduler whose policy is chosen at runtime: one
+/// monomorphized [`PifoTree`] per rank program, over the priority structure
+/// `B` (the dual heap unless built with [`SchedulerKind::build_on`]).
 #[derive(Debug, Clone)]
 #[allow(missing_docs)]
-pub enum MixedScheduler {
-    PifoWf2qPlus(PifoTree<Wf2qPlusRank>),
-    PifoWfq(PifoTree<WfqRank>),
-    PifoWf2q(PifoTree<Wf2qRank>),
-    PifoScfq(PifoTree<ScfqRank>),
-    PifoSfq(PifoTree<SfqRank>),
-    PifoDrr(PifoTree<DrrRank>),
-    PifoFifo(PifoTree<FifoRank>),
-    PifoRr(PifoTree<RrRank>),
-    CalWf2qPlus(PifoTree<Wf2qPlusRank, CalendarEligibleSet>),
-    CalWfq(PifoTree<WfqRank, CalendarEligibleSet>),
-    CalWf2q(PifoTree<Wf2qRank, CalendarEligibleSet>),
-    CalScfq(PifoTree<ScfqRank, CalendarEligibleSet>),
-    CalSfq(PifoTree<SfqRank, CalendarEligibleSet>),
-    CalDrr(PifoTree<DrrRank, CalendarEligibleSet>),
-    CalFifo(PifoTree<FifoRank, CalendarEligibleSet>),
-    CalRr(PifoTree<RrRank, CalendarEligibleSet>),
-    TreapWf2qPlus(PifoTree<Wf2qPlusRank, TreapEligibleSet>),
-    #[cfg(feature = "legacy-schedulers")]
-    Wf2qPlus(Wf2qPlus),
-    #[cfg(feature = "legacy-schedulers")]
-    Wfq(Wfq),
-    #[cfg(feature = "legacy-schedulers")]
-    Wf2q(Wf2q),
-    #[cfg(feature = "legacy-schedulers")]
-    Scfq(Scfq),
-    #[cfg(feature = "legacy-schedulers")]
-    Sfq(Sfq),
-    #[cfg(feature = "legacy-schedulers")]
-    Drr(Drr),
-    #[cfg(feature = "legacy-schedulers")]
-    Fifo(Fifo),
+pub enum MixedScheduler<B: PifoBackend = DualHeapEligibleSet> {
+    Wf2qPlus(PifoTree<Wf2qPlusRank, B>),
+    Wfq(PifoTree<WfqRank, B>),
+    Wf2q(PifoTree<Wf2qRank, B>),
+    Scfq(PifoTree<ScfqRank, B>),
+    Sfq(PifoTree<SfqRank, B>),
+    Drr(PifoTree<DrrRank, B>),
+    Fifo(PifoTree<FifoRank, B>),
+    Rr(PifoTree<RrRank, B>),
 }
 
 macro_rules! dispatch {
     ($self:expr, $inner:ident => $body:expr) => {
         match $self {
-            MixedScheduler::PifoWf2qPlus($inner) => $body,
-            MixedScheduler::PifoWfq($inner) => $body,
-            MixedScheduler::PifoWf2q($inner) => $body,
-            MixedScheduler::PifoScfq($inner) => $body,
-            MixedScheduler::PifoSfq($inner) => $body,
-            MixedScheduler::PifoDrr($inner) => $body,
-            MixedScheduler::PifoFifo($inner) => $body,
-            MixedScheduler::PifoRr($inner) => $body,
-            MixedScheduler::CalWf2qPlus($inner) => $body,
-            MixedScheduler::CalWfq($inner) => $body,
-            MixedScheduler::CalWf2q($inner) => $body,
-            MixedScheduler::CalScfq($inner) => $body,
-            MixedScheduler::CalSfq($inner) => $body,
-            MixedScheduler::CalDrr($inner) => $body,
-            MixedScheduler::CalFifo($inner) => $body,
-            MixedScheduler::CalRr($inner) => $body,
-            MixedScheduler::TreapWf2qPlus($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Wf2qPlus($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Wfq($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Wf2q($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Scfq($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Sfq($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Drr($inner) => $body,
-            #[cfg(feature = "legacy-schedulers")]
             MixedScheduler::Fifo($inner) => $body,
+            MixedScheduler::Rr($inner) => $body,
         }
     };
 }
 
-impl NodeScheduler for MixedScheduler {
+impl<B: PifoBackend> NodeScheduler for MixedScheduler<B> {
     fn rate_bps(&self) -> f64 {
         dispatch!(self, s => s.rate_bps())
     }
@@ -426,43 +249,21 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "legacy-schedulers")]
     #[test]
-    fn legacy_build_and_name_round_trip() {
-        for kind in SchedulerKind::ALL.into_iter().filter(|k| k.has_legacy()) {
-            let sched = kind.build_legacy(1e6);
-            assert_eq!(sched.name(), kind.name());
-            assert_eq!(sched.rate_bps(), 1e6);
-        }
-    }
-
-    #[test]
-    fn backend_builds_cover_every_applicable_pair() {
+    fn calendar_builds_serve_every_kind() {
+        use crate::eligible::calendar::CalendarEligibleSet;
         for kind in SchedulerKind::ALL {
-            for &backend in EligibleBackend::all_for(kind) {
-                let mut m = kind.build_with_backend(1e6, backend);
-                assert_eq!(m.name(), kind.name());
-                let a = m.add_session(0.5);
-                let b = m.add_session(0.5);
-                m.backlog(a, 1000.0, None);
-                m.backlog(b, 1000.0, None);
-                let first = m.select_next().unwrap();
-                m.requeue(first, None);
-                let second = m.select_next().unwrap();
-                assert_ne!(first, second, "{} on {}", kind.name(), backend.name());
-                m.requeue(second, None);
-            }
-        }
-    }
-
-    #[test]
-    fn backend_name_round_trip() {
-        for backend in [
-            EligibleBackend::DualHeap,
-            EligibleBackend::Treap,
-            EligibleBackend::Calendar,
-        ] {
-            assert_eq!(backend.name().parse::<EligibleBackend>().unwrap(), backend);
+            let mut m = kind.build_on::<CalendarEligibleSet>(1e6);
+            assert_eq!(m.name(), kind.name());
+            let a = m.add_session(0.5);
+            let b = m.add_session(0.5);
+            m.backlog(a, 1000.0, None);
+            m.backlog(b, 1000.0, None);
+            let first = m.select_next().unwrap();
+            m.requeue(first, None);
+            let second = m.select_next().unwrap();
+            assert_ne!(first, second, "{} on the calendar", kind.name());
+            m.requeue(second, None);
         }
     }
 

@@ -16,10 +16,10 @@
 //!   advances its virtual clock in [`RankProgram::on_dispatch`], and resets
 //!   at busy-period boundaries.
 //!
-//! The seven in-tree programs live in [`rank`] and are proven
-//! *byte-identical* to the hand-rolled originals (kept behind the
-//! `legacy-schedulers` feature as the differential oracle) by the golden
-//! traces and differential proptests in `tests/pifo_equivalence.rs`: same
+//! The in-tree programs live in [`rank`]. Seven of them are proven
+//! *byte-identical* to hand-rolled implementations of their policies (the
+//! test-only differential oracle in `tests/oracle/`) by the golden traces
+//! and differential proptests in `tests/pifo_equivalence.rs`: same
 //! dispatch order, same tags, same virtual times, bit-for-bit.
 //!
 //! ## The rank model
@@ -146,7 +146,7 @@ pub trait RankProgram {
     /// the unique minimum when it was popped). The driver then bypasses
     /// the dual-heap machinery entirely: inserts land on the sorted tail
     /// deque at one of its two ends and pops take its front, one deque
-    /// operation each, matching the legacy `VecDeque` rings. Violations
+    /// operation each, matching the hand-rolled `VecDeque` rings. Violations
     /// are caught by debug assertions in the backing structure.
     const MONOTONE_RANKS: bool = false;
 
@@ -398,7 +398,7 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             self.in_service.is_none(),
             "select_next() while a session is in service"
         );
-        // Every legacy policy returns None from an empty queue without any
+        // Every hand-rolled policy returns None from an empty queue without any
         // other state change, so the early return is byte-identical. With
         // no session in service, queue membership == backlogged sessions.
         if self.backlogged == 0 {

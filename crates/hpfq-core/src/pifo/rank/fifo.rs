@@ -2,7 +2,7 @@
 //!
 //! Head-offer order as a rank: each offered head receives the next value of
 //! a monotone sequence counter as its primary key, so popping the minimum
-//! rank replays the legacy `VecDeque` offer order exactly. No tags are
+//! rank replays the hand-rolled `VecDeque` offer order exactly. No tags are
 //! stamped ([`NodeScheduler::tags`] stays `(0, 0)`) and the virtual time is
 //! the driver's reference time.
 //!
@@ -13,8 +13,8 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The FIFO rank program. Byte-identical to the legacy `Fifo` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The FIFO rank program. Byte-identical to the hand-rolled FIFO scheduler
+/// of the differential oracle (`tests/oracle/`).
 #[derive(Debug, Clone, Default)]
 pub struct FifoRank {
     /// Next sequence value to hand out. `f64` is exact for sequence values
@@ -58,7 +58,7 @@ impl RankProgram for FifoRank {
     }
 
     fn rank_continuation(&mut self, _id: SessionId, _sessions: &mut SessionTable, _bits: f64) -> Rank {
-        // The next head re-joins at the back, like the legacy push_back.
+        // The next head re-joins at the back, like the hand-rolled push_back.
         Rank::open(self.next_seq(), 0.0)
     }
 

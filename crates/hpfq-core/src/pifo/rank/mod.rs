@@ -1,9 +1,9 @@
-//! The eight in-tree rank programs — one per [`SchedulerKind`] — each
-//! proven byte-identical to its hand-rolled original in
-//! `tests/pifo_equivalence.rs`; the originals remain available behind the
-//! `legacy-schedulers` feature for one release as the differential oracle.
-//! (The overlapped round-robin program [`RrRank`] is PIFO-native: it has no
-//! legacy original and therefore no oracle entry.)
+//! The eight in-tree rank programs — one per [`SchedulerKind`]. Seven are
+//! proven byte-identical to a hand-rolled implementation of their policy
+//! by `tests/pifo_equivalence.rs`, against the test-only differential
+//! oracle in `tests/oracle/`. (The overlapped round-robin program
+//! [`RrRank`] is PIFO-native: it has no hand-rolled counterpart and
+//! therefore no oracle entry.)
 //!
 //! [`crate::MixedScheduler`] holds a monomorphized `PifoTree<P>` per
 //! program (rather than one tree over a program *enum*) so each policy's

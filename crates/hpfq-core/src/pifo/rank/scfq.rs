@@ -2,7 +2,7 @@
 //!
 //! Self-clocked: the virtual time is the finish tag of the packet most
 //! recently dispatched — O(1) to maintain, no eligibility gate. Heads are
-//! ranked `(finish, start)` with ties by session id, exactly the legacy
+//! ranked `(finish, start)` with ties by session id, exactly the hand-rolled
 //! `tag_heap` order.
 
 use hpfq_obs::snap::{SnapError, Value};
@@ -10,8 +10,8 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The SCFQ rank program. Byte-identical to the legacy `Scfq` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The SCFQ rank program. Byte-identical to the hand-rolled SCFQ scheduler
+/// of the differential oracle (`tests/oracle/`).
 #[derive(Debug, Clone, Default)]
 pub struct ScfqRank {
     /// Virtual time = finish tag of the packet most recently dispatched.

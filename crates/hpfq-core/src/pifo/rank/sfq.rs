@@ -9,8 +9,8 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The SFQ rank program. Byte-identical to the legacy `Sfq` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The SFQ rank program. Byte-identical to the hand-rolled SFQ scheduler
+/// of the differential oracle (`tests/oracle/`).
 #[derive(Debug, Clone, Default)]
 pub struct SfqRank {
     /// Virtual time = start tag of the packet most recently dispatched.

@@ -16,8 +16,8 @@ use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
 use crate::vtime;
 
-/// The WF²Q rank program. Byte-identical to the legacy `Wf2q` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The WF²Q rank program. Byte-identical to the hand-rolled WF²Q scheduler
+/// of the differential oracle (`tests/oracle/`).
 #[derive(Debug, Clone, Default)]
 pub struct Wf2qRank {
     clock: GpsClock,

@@ -11,8 +11,8 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The WF²Q+ rank program. Byte-identical to the legacy `Wf2qPlus`
-/// scheduler (differential oracle behind the `legacy-schedulers` feature).
+/// The WF²Q+ rank program. Byte-identical to the hand-rolled WF²Q+
+/// scheduler of the differential oracle (`tests/oracle/`).
 #[derive(Debug, Clone, Default)]
 pub struct Wf2qPlusRank {
     /// Virtual time `V` of eq. (27), in reference-time seconds.

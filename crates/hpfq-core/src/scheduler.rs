@@ -182,113 +182,6 @@ pub(crate) fn load_opt_id(v: &Value) -> Result<Option<SessionId>, SnapError> {
     }
 }
 
-/// Common per-session bookkeeping shared by the virtual-time schedulers
-/// and the [`crate::pifo`] rank programs (which is why it is public: a
-/// user-supplied [`crate::RankProgram`] stamps tags through this type).
-///
-/// Stores the share, the derived inverse guaranteed rate, the head tags
-/// `(start, finish)` of eq. (28)/(29), and the backlog flag.
-#[derive(Debug, Clone)]
-pub struct SessionState {
-    /// Guaranteed share of the parent server's rate.
-    pub phi: f64,
-    /// `1 / (phi * server_rate)` — seconds of virtual time per bit.
-    pub inv_rate: f64,
-    /// Virtual start tag of the head packet.
-    pub start: f64,
-    /// Virtual finish tag of the head packet.
-    pub finish: f64,
-    /// Length of the head packet in bits (valid while backlogged).
-    pub head_bits: f64,
-    /// Whether the session currently offers a head packet (or has one in
-    /// service).
-    pub backlogged: bool,
-}
-
-impl SessionState {
-    /// Creates an idle session with share `phi` of a `server_rate` server.
-    pub fn new(phi: f64, server_rate: f64) -> Self {
-        assert!(
-            phi.is_finite() && phi > 0.0,
-            "session share must be a positive finite number, got {phi}"
-        );
-        assert!(
-            server_rate.is_finite() && server_rate > 0.0,
-            "server rate must be a positive finite number, got {server_rate}"
-        );
-        SessionState {
-            phi,
-            inv_rate: 1.0 / (phi * server_rate),
-            start: 0.0,
-            finish: 0.0,
-            head_bits: 0.0,
-            backlogged: false,
-        }
-    }
-
-    /// Stamps tags for a head arriving to an idle session: `S = max(F, V)`,
-    /// `F = S + L / r_i` (eq. 28 second case + eq. 29).
-    pub fn stamp_new_backlog(&mut self, v: f64, head_bits: f64) {
-        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
-        self.start = self.finish.max(v);
-        self.finish = self.start + head_bits * self.inv_rate;
-        self.head_bits = head_bits;
-        self.backlogged = true;
-    }
-
-    /// Stamps tags for the next head of a continuously backlogged session:
-    /// `S = F` (eq. 28 first case).
-    pub fn stamp_continuation(&mut self, head_bits: f64) {
-        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
-        self.start = self.finish;
-        self.finish = self.start + head_bits * self.inv_rate;
-        self.head_bits = head_bits;
-    }
-
-    /// Resets tags at a busy-period boundary.
-    pub fn reset(&mut self) {
-        self.start = 0.0;
-        self.finish = 0.0;
-        debug_assert!(!self.backlogged, "resetting a backlogged session");
-    }
-
-    /// Serializes for an epoch checkpoint. Every field is saved verbatim —
-    /// in particular `inv_rate` is *not* recomputed from `phi` on load, so
-    /// the restored tag arithmetic is bit-identical.
-    pub(crate) fn save(&self) -> Value {
-        Value::map(vec![
-            ("phi", Value::F64(self.phi)),
-            ("inv_rate", Value::F64(self.inv_rate)),
-            ("start", Value::F64(self.start)),
-            ("finish", Value::F64(self.finish)),
-            ("head_bits", Value::F64(self.head_bits)),
-            ("backlogged", Value::Bool(self.backlogged)),
-        ])
-    }
-
-    /// Restores a session saved by [`SessionState::save`].
-    pub(crate) fn load(v: &Value) -> Result<SessionState, SnapError> {
-        Ok(SessionState {
-            phi: v.get("phi")?.as_f64()?,
-            inv_rate: v.get("inv_rate")?.as_f64()?,
-            start: v.get("start")?.as_f64()?,
-            finish: v.get("finish")?.as_f64()?,
-            head_bits: v.get("head_bits")?.as_f64()?,
-            backlogged: v.get("backlogged")?.as_bool()?,
-        })
-    }
-}
-
-/// Serializes a `Vec<SessionState>` session table.
-pub(crate) fn save_sessions(sessions: &[SessionState]) -> Value {
-    Value::List(sessions.iter().map(SessionState::save).collect())
-}
-
-/// Restores a session table saved by [`save_sessions`].
-pub(crate) fn load_sessions(v: &Value) -> Result<Vec<SessionState>, SnapError> {
-    v.items()?.iter().map(SessionState::load).collect()
-}
-
 /// Structure-of-arrays session table: the per-session metadata the PIFO
 /// driver touches on **every dispatch** — shares, derived inverse rates,
 /// the eq. (28)/(29) head tags, head lengths, and backlog flags — laid
@@ -296,12 +189,10 @@ pub(crate) fn load_sessions(v: &Value) -> Result<Vec<SessionState>, SnapError> {
 ///
 /// This extends the dual-heap eligible set's SoA layout to the flow table
 /// itself: a dispatch reads 2–3 of the six fields, so pulling a dense
-/// `f64` lane instead of a 48-byte [`SessionState`] record keeps the hot
-/// cache lines at a million-session scale packed with useful tags (the
-/// scaling sweep in `hpfq-bench` measures exactly this path). The legacy
-/// schedulers keep the AoS [`SessionState`]; serialization is
-/// format-compatible between the two ([`SessionTable::save`] emits the
-/// same per-session maps as [`save_sessions`]).
+/// `f64` lane instead of a 48-byte per-session record keeps the hot cache
+/// lines at a million-session scale packed with useful tags (the scaling
+/// sweep in `hpfq-bench` measures exactly this path). Rank programs —
+/// in-tree or user-supplied — stamp eq. (28)/(29) tags through this type.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
     /// Guaranteed share of the parent server's rate, per session.
@@ -337,8 +228,7 @@ impl SessionTable {
     }
 
     /// Registers an idle session with share `phi` of a `server_rate`
-    /// server and returns its id (same validation as
-    /// [`SessionState::new`]).
+    /// server and returns its id. Both must be positive and finite.
     pub fn push(&mut self, phi: f64, server_rate: f64) -> SessionId {
         assert!(
             phi.is_finite() && phi > 0.0,
@@ -457,9 +347,10 @@ impl SessionTable {
         self.finish.fill(0.0);
     }
 
-    /// Serializes the table — byte-identical to [`save_sessions`] over the
-    /// equivalent `Vec<SessionState>`, so PIFO and legacy snapshots stay
-    /// interchangeable.
+    /// Serializes the table as one map per session (`phi`, `inv_rate`,
+    /// `start`, `finish`, `head_bits`, `backlogged`). Every field is saved
+    /// verbatim — `inv_rate` is not recomputed from `phi` on load — so the
+    /// restored tag arithmetic is bit-identical.
     pub(crate) fn save(&self) -> Value {
         Value::List(
             (0..self.len())
@@ -477,8 +368,7 @@ impl SessionTable {
         )
     }
 
-    /// Restores a table saved by [`SessionTable::save`] (or
-    /// [`save_sessions`]).
+    /// Restores a table saved by [`SessionTable::save`].
     pub(crate) fn load(v: &Value) -> Result<SessionTable, SnapError> {
         let mut t = SessionTable::new();
         for sv in v.items()? {
@@ -494,8 +384,8 @@ impl SessionTable {
 }
 
 /// Serializes per-session pending-stamp queues (the eq. (28) start bases
-/// recorded by `arrival_hint` in the GPS-emulating policies — WFQ, WF²Q,
-/// and their rank programs).
+/// recorded by `arrival_hint` in the GPS-emulating WFQ and WF²Q rank
+/// programs).
 pub(crate) fn save_pending(pending: &[std::collections::VecDeque<f64>]) -> Value {
     Value::List(
         pending
@@ -537,24 +427,22 @@ mod tests {
     #[test]
     fn stamp_rules_follow_eq_28_29() {
         // phi = 0.5 of a 2 bit/s server => r_i = 1 bit/s.
-        let mut s = SessionState::new(0.5, 2.0);
-        s.stamp_new_backlog(3.0, 4.0);
-        assert_eq!(s.start, 3.0);
-        assert_eq!(s.finish, 7.0);
+        let mut t = SessionTable::new();
+        let s = t.push(0.5, 2.0);
+        t.stamp_new_backlog(s, 3.0, 4.0);
+        assert_eq!((t.start(s), t.finish(s)), (3.0, 7.0));
         // Continuation: S = F.
-        s.stamp_continuation(2.0);
-        assert_eq!(s.start, 7.0);
-        assert_eq!(s.finish, 9.0);
+        t.stamp_continuation(s, 2.0);
+        assert_eq!((t.start(s), t.finish(s)), (7.0, 9.0));
         // Re-backlog with stale V: S = max(F, V) = F.
-        s.backlogged = false;
-        s.stamp_new_backlog(1.0, 1.0);
-        assert_eq!(s.start, 9.0);
-        assert_eq!(s.finish, 10.0);
+        t.set_idle(s);
+        t.stamp_new_backlog(s, 1.0, 1.0);
+        assert_eq!((t.start(s), t.finish(s)), (9.0, 10.0));
     }
 
     #[test]
     #[should_panic(expected = "positive finite")]
     fn rejects_nonpositive_share() {
-        let _ = SessionState::new(0.0, 1.0);
+        let _ = SessionTable::new().push(0.0, 1.0);
     }
 }

@@ -11,14 +11,14 @@
 //! real-time class keeps its guarantee, best-effort is never starved, and
 //! idle agencies' bandwidth is redistributed through the hierarchy.
 
-use hpfq::core::{Hierarchy, Wf2qPlus};
+use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::sim::{CbrSource, Simulation, SourceConfig};
 
 const LINK: f64 = 45e6;
 const PKT: u32 = 1500;
 
 fn main() {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r));
     let root = bld.root();
     // Agency A1: 50%, with a real-time subclass (80% of A1) and a
     // best-effort subclass (20% of A1 — the anti-starvation floor).

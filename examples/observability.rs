@@ -20,7 +20,7 @@ use hpfq::analysis::service_records_from_trace;
 use hpfq::obs::jsonl::parse_trace;
 use hpfq::obs::{InvariantObserver, JsonlObserver, MetricsObserver};
 use hpfq::sim::{CbrSource, Simulation, SourceConfig};
-use hpfq::{Hierarchy, Wf2qPlus};
+use hpfq::{Hierarchy, SchedulerKind};
 
 fn main() {
     let path = std::env::args()
@@ -34,7 +34,8 @@ fn main() {
     );
 
     // 1 Mbit/s link, two agencies (60/40), two leaves each.
-    let mut bld = Hierarchy::builder_with_observer(1e6, Wf2qPlus::new, sinks);
+    let mut bld =
+        Hierarchy::builder_with_observer(1e6, |r| SchedulerKind::Wf2qPlus.build(r), sinks);
     let root = bld.root();
     let a = bld.add_internal(root, 0.6).expect("valid share");
     let b = bld.add_internal(root, 0.4).expect("valid share");

@@ -6,8 +6,9 @@
 //!
 //! * [`events`] — the dependency-free discrete-event core (keyed min-heap
 //!   with FIFO tie-breaking, slot-arena storage, clocked engine driver).
-//! * [`core`] — the WF²Q+ algorithm, the WFQ/WF²Q/SCFQ/SFQ/DRR/FIFO
-//!   baselines, and the H-PFQ hierarchy.
+//! * [`core`] — the H-PFQ hierarchy over one programmable PIFO scheduler,
+//!   with rank programs for WF²Q+ and the WFQ/WF²Q/SCFQ/SFQ/DRR/FIFO
+//!   baselines.
 //! * [`fluid`] — the ideal GPS and H-GPS fluid reference servers.
 //! * [`sim`] — a discrete-event network simulator with the paper's traffic
 //!   sources and measurement infrastructure.
@@ -31,6 +32,6 @@ pub use hpfq_sim as sim;
 pub use hpfq_tcp as tcp;
 
 pub use hpfq_core::{
-    Drr, Fifo, Hierarchy, HierarchyBuilder, HpfqError, MixedScheduler, NodeId, NodeScheduler,
-    Packet, Scfq, SchedulerKind, SessionId, Sfq, Wf2q, Wf2qPlus, Wfq,
+    Hierarchy, HierarchyBuilder, HpfqError, MixedScheduler, NodeId, NodeScheduler, Packet,
+    SchedulerKind, SessionId,
 };

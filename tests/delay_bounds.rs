@@ -3,7 +3,7 @@
 //! (greedy leaky-bucket) sources with saturating cross traffic.
 
 use hpfq::analysis::{corollary2_bound, wf2q_plus_delay_bound};
-use hpfq::core::{Hierarchy, SchedulerKind, Wf2qPlus};
+use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::sim::{CbrSource, GreedyLbSource, Simulation, SourceConfig};
 
 const PKT: u32 = 1000; // 8000 bits
@@ -15,7 +15,7 @@ const LMAX: f64 = 8000.0;
 fn theorem4_standalone_bound() {
     let rate = 1e6;
     for phi in [0.1, 0.3, 0.5] {
-        let mut h = Hierarchy::builder(rate, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let measured = h.add_leaf(root, phi).unwrap();
         let cross = h.add_leaf(root, 1.0 - phi).unwrap();
@@ -60,7 +60,7 @@ fn theorem4_standalone_bound() {
 #[test]
 fn corollary2_three_levels() {
     let rate = 2e6;
-    let mut bld = Hierarchy::builder(rate, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r));
     let root = bld.root();
     let c1 = bld.add_internal(root, 0.6).unwrap();
     let x1 = bld.add_leaf(root, 0.4).unwrap();

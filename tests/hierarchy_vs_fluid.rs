@@ -4,7 +4,7 @@
 //! hierarchical generalization of the one-packet-accuracy property that
 //! motivates WF²Q+ (paper §3.3–3.4 and Theorem 4).
 
-use hpfq::core::{Hierarchy, NodeId, Wf2qPlus};
+use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::sim::{Simulation, SourceConfig, TraceSource};
 use hpfq_analysis::service_curve_from_records;
@@ -14,7 +14,7 @@ const LINK: f64 = 1e6;
 const PKT: u32 = 500; // 4000 bits
 
 struct Mirror {
-    h: Hierarchy<Wf2qPlus>,
+    h: Hierarchy<MixedScheduler>,
     fluid: FluidTree,
     leaves: Vec<(NodeId, FluidNodeId)>,
 }
@@ -22,7 +22,7 @@ struct Mirror {
 /// Builds mirrored 2-level trees: `classes` internal nodes, each with
 /// `per_class` leaves, shares perturbed by `rng`.
 fn build(classes: usize, per_class: usize, rng: &mut SmallRng) -> Mirror {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r));
     let mut fluid = FluidTree::new();
     let mut leaves = Vec::new();
     // Random class shares summing to 1.
@@ -134,7 +134,7 @@ fn packet_service_tracks_fluid_service() {
 /// bandwidth by their shares even while an unrelated class floods.
 #[test]
 fn sibling_shares_respected_under_flooding() {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r));
     let root = bld.root();
     let a = bld.add_internal(root, 0.5).unwrap();
     let b = bld.add_leaf(root, 0.5).unwrap();

@@ -8,10 +8,10 @@
 
 use std::collections::VecDeque;
 
+use hpfq_core::vtime;
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
-use crate::vtime;
+use super::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
 
 #[derive(Debug, Clone)]
 struct DrrSession {

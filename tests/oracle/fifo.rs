@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
+use super::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
 
 #[derive(Debug, Clone)]
 struct FifoSession {

@@ -9,10 +9,10 @@
 
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::scheduler::{
+use super::scheduler::{
     load_opt_id, load_sessions, save_opt_id, save_sessions, NodeScheduler, SessionId, SessionState,
 };
-use crate::tag_heap::TagHeap;
+use super::tag_heap::TagHeap;
 
 /// The SCFQ scheduler.
 #[derive(Debug, Clone)]

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::scheduler::SessionId;
+use super::scheduler::SessionId;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {

@@ -21,16 +21,15 @@
 //! `α_i = L_i,max + (L_max − L_i,max)·r_i/r`, and the GPS-tight delay bound
 //! `σ_i/r_i + L_max/r` for a `(σ_i, r_i)` leaky-bucket session.
 
+use hpfq_core::eligible::{dual_heap::DualHeapEligibleSet, EligibleSet};
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::eligible::{dual_heap::DualHeapEligibleSet, EligibleSet};
-use crate::scheduler::{
+use super::scheduler::{
     load_opt_id, load_sessions, save_opt_id, save_sessions, NodeScheduler, SessionId, SessionState,
 };
 
 /// The WF²Q+ scheduler, generic over the eligible-set structure (defaulting
-/// to the production dual-heap; see [`crate::TreapEligibleSet`] for the
-/// alternative used in the ablation benchmark).
+/// to the production dual-heap).
 #[derive(Debug, Clone)]
 pub struct Wf2qPlus<E: EligibleSet = DualHeapEligibleSet> {
     rate: f64,

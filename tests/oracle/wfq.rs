@@ -1,63 +1,62 @@
-//! WF²Q — Worst-case Fair Weighted Fair Queueing (paper §3.3, ref. [2]).
+//! WFQ — Weighted Fair Queueing / Packetized GPS (paper §3.1).
 //!
-//! WF²Q is the SEFF policy driven by the *exact* GPS virtual time: when the
-//! server picks a packet it considers only sessions whose head has started
-//! service in the corresponding GPS system (`S_i ≤ V_GPS`) and takes the
-//! smallest finish tag among them. It attains the optimal B-WFI of
-//! Theorem 3 but inherits [`GpsClock`]'s O(N) worst-case virtual-time cost —
-//! the complexity that WF²Q+ ([`crate::Wf2qPlus`]) removes.
+//! WFQ applies the SFF policy ("Smallest virtual Finish time First"): when
+//! the server picks the next packet it chooses, among **all** queued heads,
+//! the one with the smallest GPS virtual finish tag — with no eligibility
+//! check. Its delay bound is within one packet time of GPS, but its
+//! Worst-case Fair Index grows linearly in the number of sessions (the
+//! Fig. 2 burst), which is what makes H-WFQ's hierarchical delay bounds
+//! loose (Theorem 2).
+//!
+//! Virtual time comes from the exact GPS emulation in [`GpsClock`] — O(N)
+//! worst case per advance, as the paper notes.
 
 use std::collections::VecDeque;
 
+use hpfq_core::gps_clock::GpsClock;
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::eligible::{dual_heap::DualHeapEligibleSet, EligibleSet};
-use crate::gps_clock::GpsClock;
-use crate::scheduler::{
+use super::scheduler::{
     load_opt_id, load_pending, load_sessions, save_opt_id, save_pending, save_sessions,
     NodeScheduler, SessionId, SessionState,
 };
-use crate::vtime;
+use super::tag_heap::TagHeap;
 
-/// The WF²Q scheduler (SEFF over the exact GPS virtual time).
+/// The WFQ (PGPS) scheduler.
 #[derive(Debug, Clone)]
-pub struct Wf2q {
+pub struct Wfq {
     rate: f64,
     sessions: Vec<SessionState>,
     clock: GpsClock,
-    set: DualHeapEligibleSet,
+    /// Backlogged sessions keyed by finish tag (ties by session index).
+    heap: TagHeap,
     /// Per-session virtual start tags of queued-behind-the-head packets
-    /// announced via `arrival_hint`, in arrival order (exact eq. (28)
-    /// bases, consumed as those packets become heads).
+    /// announced via `arrival_hint`, in arrival order: each is the exact
+    /// `max(F_prev, V(a_k))` of eq. (28), consumed when the packet becomes
+    /// the head.
     pending: Vec<VecDeque<f64>>,
+    /// Reference time, advanced by `L/r` per dispatch.
     t: f64,
     in_service: Option<SessionId>,
     backlogged: usize,
-    /// Diagnostic: number of dispatches where no session satisfied
-    /// `S_i ≤ V_GPS` and the `max(V, Smin)` fallback fired. With exact GPS
-    /// tracking this is provably impossible; with the head-only emulation of
-    /// [`GpsClock`] it stays zero in all paper scenarios (asserted in
-    /// tests), but the fallback keeps the policy work-conserving regardless.
-    fallback_dispatches: u64,
 }
 
-impl Wf2q {
-    /// Creates a WF²Q server of the given rate.
+impl Wfq {
+    /// Creates a WFQ server of the given rate.
     pub fn new(rate_bps: f64) -> Self {
         assert!(
             rate_bps.is_finite() && rate_bps > 0.0,
             "invalid rate {rate_bps}"
         );
-        Wf2q {
+        Wfq {
             rate: rate_bps,
             sessions: Vec::new(),
             clock: GpsClock::new(),
-            set: DualHeapEligibleSet::new(),
+            heap: TagHeap::new(),
             pending: Vec::new(),
             t: 0.0,
             in_service: None,
             backlogged: 0,
-            fallback_dispatches: 0,
         }
     }
 
@@ -72,16 +71,10 @@ impl Wf2q {
         self.clock.worst_sweep()
     }
 
-    /// Dispatches that needed the work-conservation fallback (see the field
-    /// documentation); zero in every paper scenario.
-    pub fn fallback_dispatches(&self) -> u64 {
-        self.fallback_dispatches
-    }
-
     fn reset(&mut self) {
         self.t = 0.0;
         self.clock.reset();
-        self.set.clear();
+        self.heap.clear();
         for p in &mut self.pending {
             debug_assert!(p.is_empty(), "pending stamps at busy-period end");
             p.clear();
@@ -92,7 +85,7 @@ impl Wf2q {
     }
 }
 
-impl NodeScheduler for Wf2q {
+impl NodeScheduler for Wfq {
     fn rate_bps(&self) -> f64 {
         self.rate
     }
@@ -106,16 +99,17 @@ impl NodeScheduler for Wf2q {
     }
 
     fn backlog(&mut self, id: SessionId, head_bits: f64, ref_now: Option<f64>) {
-        // Root servers pass the exact reference time of the arrival; it
-        // may lag the dispatch-advanced clock, in which case advance_to
-        // clamps (bounded one-packet skew, see GpsClock docs).
         let v = self.clock.advance_to(ref_now.unwrap_or(self.t));
         let s = &mut self.sessions[id.0];
         debug_assert!(!s.backlogged, "backlog() on a backlogged session");
         debug_assert!(self.pending[id.0].is_empty());
         s.stamp_new_backlog(v, head_bits);
         self.clock.on_stamp(id.0, s.finish);
-        self.set.insert(id, s.start, s.finish);
+        // Finish-tag ties are broken by session index (secondary tag held
+        // at 0), matching the paper's Fig. 2 timeline where session 1's
+        // 10th packet (GPS finish 20) precedes the small sessions' packets
+        // (also finish 20).
+        self.heap.push(id, s.finish, 0.0);
         self.backlogged += 1;
     }
 
@@ -129,31 +123,7 @@ impl NodeScheduler for Wf2q {
 
     fn select_next(&mut self) -> Option<SessionId> {
         debug_assert!(self.in_service.is_none());
-        if self.set.is_empty() {
-            return None;
-        }
-        // SEFF at the exact GPS virtual time of the dispatch instant. The
-        // one-tolerance nudge absorbs drift from the piecewise slope
-        // integration (e.g. Σφ of ten 0.05-shares summing to 1+2ulp, which
-        // would otherwise leave V one ulp short of a start tag it has
-        // mathematically reached); it is ~9 orders of magnitude below
-        // packet granularity.
-        let v = self.clock.advance_to(self.t);
-        let v = vtime::nudge_up(v);
-        let id = match self.set.pop_min_finish(v) {
-            Some(id) => id,
-            None => {
-                // Head-only emulation artifact; fall back to the WF²Q+
-                // threshold to stay work-conserving.
-                self.fallback_dispatches += 1;
-                // lint:allow(L002): is_empty() returned false above
-                let thr = self.set.eligibility_threshold(v).expect("set is non-empty");
-                self.set
-                    .pop_min_finish(thr)
-                    // lint:allow(L002): thr = max(V, Smin) admits the Smin session
-                    .expect("threshold admits a session")
-            }
-        };
+        let (id, _, _) = self.heap.pop_min()?;
         let l = self.sessions[id.0].head_bits;
         self.t += l / self.rate;
         self.in_service = Some(id);
@@ -165,9 +135,9 @@ impl NodeScheduler for Wf2q {
         self.in_service = None;
         match next_head_bits {
             Some(bits) => {
-                // Use the exact eq. (28) base recorded when this packet's
-                // arrival was announced, falling back to the continuation
-                // rule S = F for un-announced drivers.
+                // If the next head was announced at its arrival, its exact
+                // eq. (28) start base `max(F_prev, V(a_k))` was recorded
+                // then; otherwise fall back to the continuation rule S = F.
                 let base = self.pending[id.0].pop_front();
                 let s = &mut self.sessions[id.0];
                 match base {
@@ -179,7 +149,7 @@ impl NodeScheduler for Wf2q {
                     None => s.stamp_continuation(bits),
                 }
                 self.clock.on_stamp(id.0, s.finish);
-                self.set.insert(id, s.start, s.finish);
+                self.heap.push(id, s.finish, 0.0);
             }
             None => {
                 self.sessions[id.0].backlogged = false;
@@ -209,10 +179,12 @@ impl NodeScheduler for Wf2q {
     }
 
     fn name(&self) -> &'static str {
-        "wf2q"
+        "wfq"
     }
 
     fn save_state(&self) -> Value {
+        // The tag heap is rebuilt on load from the session table (membership
+        // = backlogged and not in service, keys = the saved finish tags).
         Value::map(vec![
             ("rate", Value::F64(self.rate)),
             ("t", Value::F64(self.t)),
@@ -220,7 +192,6 @@ impl NodeScheduler for Wf2q {
             ("sessions", save_sessions(&self.sessions)),
             ("pending", save_pending(&self.pending)),
             ("clock", self.clock.save_state()),
-            ("fallback_dispatches", Value::U64(self.fallback_dispatches)),
         ])
     }
 
@@ -230,7 +201,7 @@ impl NodeScheduler for Wf2q {
             return Err(SnapError {
                 at: 0,
                 what: format!(
-                    "wf2q rate mismatch: snapshot {rate}, configured {}",
+                    "wfq rate mismatch: snapshot {rate}, configured {}",
                     self.rate
                 ),
             });
@@ -240,13 +211,12 @@ impl NodeScheduler for Wf2q {
         self.clock.load_state(state.get("clock")?)?;
         self.t = state.get("t")?.as_f64()?;
         self.in_service = load_opt_id(state.get("in_service")?)?;
-        self.fallback_dispatches = state.get("fallback_dispatches")?.as_u64()?;
         self.backlogged = self.sessions.iter().filter(|s| s.backlogged).count();
-        self.set.clear();
+        self.heap.clear();
         for (i, s) in self.sessions.iter().enumerate() {
             let id = SessionId(i);
             if s.backlogged && self.in_service != Some(id) {
-                self.set.insert(id, s.start, s.finish);
+                self.heap.push(id, s.finish, 0.0);
             }
         }
         Ok(())
@@ -257,11 +227,11 @@ impl NodeScheduler for Wf2q {
 mod tests {
     use super::*;
 
-    /// Fig. 2 bottom timeline: WF²Q interleaves session 1 with the small
-    /// sessions instead of sending its burst back-to-back.
+    /// The Fig. 2 pathology: WFQ serves session 1's first 10 packets
+    /// back-to-back, then the 10 small sessions, then the 11th packet.
     #[test]
-    fn fig2_interleaving() {
-        let mut s = Wf2q::new(1.0);
+    fn fig2_burst() {
+        let mut s = Wfq::new(1.0);
         let s0 = s.add_session(0.5);
         for _ in 0..10 {
             s.add_session(0.05);
@@ -277,50 +247,32 @@ mod tests {
             remaining[id.0] -= 1;
             s.requeue(id, if remaining[id.0] > 0 { Some(1.0) } else { None });
         }
-        assert_eq!(order.len(), 21);
-        for (slot, &id) in order.iter().enumerate() {
-            if slot % 2 == 0 {
-                assert_eq!(id, 0, "slot {slot}");
-            } else {
-                assert_ne!(id, 0, "slot {slot}");
-            }
-        }
-        assert_eq!(s.fallback_dispatches(), 0);
+        // First 10 dispatches are all session 0: finish tags 2,4,...,20;
+        // the 10th ties with the small sessions' tags (20) and goes to the
+        // lower session index, exactly as in the paper's Fig. 2 timeline.
+        assert_eq!(&order[..10], &[0; 10]);
+        // Then the ten small sessions.
+        let mut mid: Vec<usize> = order[10..20].to_vec();
+        mid.sort_unstable();
+        assert_eq!(mid, (1..=10).collect::<Vec<_>>());
+        // And finally session 0's 11th packet.
+        assert_eq!(order[20], 0);
     }
 
-    /// During any interval, WF²Q's service to the big session differs from
-    /// the GPS share (half the link) by less than one packet — the §3.3
-    /// accuracy claim.
     #[test]
-    fn service_tracks_gps_within_one_packet() {
-        let mut s = Wf2q::new(1.0);
-        let s0 = s.add_session(0.5);
-        for _ in 0..10 {
-            s.add_session(0.05);
+    fn equal_weights_round_robin_like() {
+        let mut s = Wfq::new(1.0);
+        let a = s.add_session(0.5);
+        let b = s.add_session(0.5);
+        s.backlog(a, 1.0, None);
+        s.backlog(b, 1.0, None);
+        let mut counts = [0usize; 2];
+        for _ in 0..100 {
+            let id = s.select_next().unwrap();
+            counts[id.0] += 1;
+            s.requeue(id, Some(1.0));
         }
-        s.backlog(s0, 1.0, Some(0.0));
-        for i in 1..=10 {
-            s.backlog(SessionId(i), 1.0, Some(0.0));
-        }
-        let mut served0 = 0.0_f64;
-        let mut elapsed = 0.0_f64;
-        let mut remaining = vec![11usize, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
-        while let Some(id) = s.select_next() {
-            elapsed += 1.0;
-            if id.0 == 0 {
-                served0 += 1.0;
-            }
-            // GPS gives session 0 exactly half the link while all are
-            // backlogged (first 20 slots).
-            if elapsed <= 20.0 {
-                assert!(
-                    (served0 - 0.5 * elapsed).abs() < 1.0 + 1e-9,
-                    "lag {} at t={elapsed}",
-                    served0 - 0.5 * elapsed
-                );
-            }
-            remaining[id.0] -= 1;
-            s.requeue(id, if remaining[id.0] > 0 { Some(1.0) } else { None });
-        }
+        assert_eq!(counts[0], 50);
+        assert_eq!(counts[1], 50);
     }
 }

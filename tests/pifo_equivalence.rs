@@ -1,10 +1,10 @@
 //! PIFO-substrate equivalence oracle: every policy served by
 //! [`PifoTree`] (via [`SchedulerKind::build`]) must be **byte-identical**
-//! to its hand-rolled original (via [`SchedulerKind::build_legacy`],
-//! behind the `legacy-schedulers` feature) — same dispatch decisions, same
-//! tags, same virtual time bits, same JSONL traces and statistics on the
-//! reduced Fig. 3 workload with an outage and flow churn in the mix, and
-//! the same continuations across a PIFO snapshot → restore → resume.
+//! to its hand-rolled original (the test-only differential oracle in
+//! `tests/oracle/`) — same dispatch decisions, same tags, same virtual
+//! time bits, same JSONL traces and statistics on the reduced Fig. 3
+//! workload with an outage and flow churn in the mix, and the same
+//! continuations across a PIFO snapshot → restore → resume.
 //!
 //! Randomized churn + outage differential suites ride behind the
 //! `proptest-tests` feature alongside `tests/proptest_invariants.rs`:
@@ -15,10 +15,12 @@
 //!
 //! [`PifoTree`]: hpfq::core::PifoTree
 //! [`SchedulerKind::build`]: hpfq::core::SchedulerKind::build
-//! [`SchedulerKind::build_legacy`]: hpfq::core::SchedulerKind::build_legacy
+
+mod oracle;
 
 use hpfq::core::{
-    EligibleBackend, Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId,
+    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind,
+    SessionId,
 };
 use hpfq::obs::{JsonlObserver, Observer, SharedBuf};
 use hpfq::sim::{
@@ -41,7 +43,12 @@ fn len_pattern(i: u64) -> f64 {
 }
 
 /// Asserts `pifo` and `legacy` agree bit-for-bit on one observable step.
-fn assert_lockstep(kind: SchedulerKind, step: u64, pifo: &MixedScheduler, legacy: &MixedScheduler) {
+fn assert_lockstep(
+    kind: SchedulerKind,
+    step: u64,
+    pifo: &impl NodeScheduler,
+    legacy: &impl NodeScheduler,
+) {
     assert_eq!(
         pifo.backlogged(),
         legacy.backlogged(),
@@ -64,18 +71,18 @@ fn assert_lockstep(kind: SchedulerKind, step: u64, pifo: &MixedScheduler, legacy
 /// schedulers completely so the busy-period reset path is exercised too.
 fn drive_lockstep(kind: SchedulerKind, n: usize, steps: u64, seed: u64) {
     let pifo = kind.build(1e6);
-    let legacy = kind.build_legacy(1e6);
+    let legacy = oracle::build(kind, 1e6);
     drive_lockstep_pair(kind, pifo, legacy, n, steps, seed);
 }
 
 /// Drives any two schedulers of the same kind through the same schedule,
 /// asserting bit-identical selections, tags, and virtual times. Used both
-/// for PIFO-vs-legacy and for backend-vs-backend (calendar/treap vs dual
-/// heap) equivalence.
+/// for PIFO-vs-legacy and for backend-vs-backend (calendar vs dual heap)
+/// equivalence.
 fn drive_lockstep_pair(
     kind: SchedulerKind,
-    mut pifo: MixedScheduler,
-    mut legacy: MixedScheduler,
+    mut pifo: impl NodeScheduler,
+    mut legacy: impl NodeScheduler,
     n: usize,
     steps: u64,
     seed: u64,
@@ -137,7 +144,7 @@ fn drive_lockstep_pair(
 
 #[test]
 fn every_policy_matches_legacy_in_lockstep() {
-    for kind in SchedulerKind::ALL.into_iter().filter(|k| k.has_legacy()) {
+    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
         drive_lockstep(kind, 5, 600, 3);
         drive_lockstep(kind, 9, 400, 17);
     }
@@ -150,11 +157,11 @@ fn every_policy_matches_legacy_in_lockstep() {
 
 /// A reduced Fig. 3 hierarchy, generic over the node factory so the same
 /// topology can be built PIFO-backed or legacy-backed.
-fn fig3ish<O: Observer>(
+fn fig3ish<S: NodeScheduler, O: Observer>(
     obs: O,
-    node: impl Fn(f64) -> MixedScheduler + Copy + 'static,
-) -> (Hierarchy<MixedScheduler, O>, Vec<NodeId>) {
-    let mut bld = Hierarchy::<MixedScheduler, O>::builder_with_observer(LINK, node, obs);
+    node: impl Fn(f64) -> S + Copy + 'static,
+) -> (Hierarchy<S, O>, Vec<NodeId>) {
+    let mut bld = Hierarchy::<S, O>::builder_with_observer(LINK, node, obs);
     let root = bld.root();
     let n2 = bld.add_internal(root, 0.5).unwrap();
     let n1 = bld.add_internal(n2, 0.494).unwrap();
@@ -168,8 +175,8 @@ fn fig3ish<O: Observer>(
 
 /// Runs the reduced Fig. 3 scenario to `horizon` and returns the raw JSONL
 /// trace plus the per-flow statistics the oracle compares.
-fn run_fig3ish(
-    node: impl Fn(f64) -> MixedScheduler + Copy + 'static,
+fn run_fig3ish<S: NodeScheduler>(
+    node: impl Fn(f64) -> S + Copy + 'static,
     horizon: f64,
 ) -> (String, Vec<String>) {
     let buf = SharedBuf::new();
@@ -255,9 +262,9 @@ fn run_fig3ish(
 
 #[test]
 fn fig3_trace_is_byte_identical_for_every_policy() {
-    for kind in SchedulerKind::ALL.into_iter().filter(|k| k.has_legacy()) {
+    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
         let (trace_p, stats_p) = run_fig3ish(move |r| kind.build(r), 1.6);
-        let (trace_l, stats_l) = run_fig3ish(move |r| kind.build_legacy(r), 1.6);
+        let (trace_l, stats_l) = run_fig3ish(move |r| oracle::build(kind, r), 1.6);
         assert!(
             trace_p.lines().count() > 500,
             "{}: trace too small to be meaningful",
@@ -284,11 +291,37 @@ fn fig3_trace_is_byte_identical_for_every_policy() {
 // *hand-rolled* original run straight through.
 // ---------------------------------------------------------------------------
 
+/// Runs `steps` dispatches of the snapshot → resume schedule from `start`,
+/// logging each selection and its tag bits.
+fn run_logged(
+    s: &mut impl NodeScheduler,
+    q: &mut [u64],
+    start: u64,
+    steps: u64,
+) -> Vec<(usize, u64, u64)> {
+    let mut log = Vec::new();
+    for step in start..start + steps {
+        let Some(id) = s.select_next() else {
+            for (i, qq) in q.iter_mut().enumerate() {
+                *qq = 1 + (i as u64 + step) % 3;
+                s.backlog(SessionId(i), len_pattern(step + i as u64), None);
+            }
+            continue;
+        };
+        let tags = s.tags(id);
+        log.push((id.0, tags.0.to_bits(), tags.1.to_bits()));
+        q[id.0] -= 1;
+        let next = (q[id.0] > 0).then(|| len_pattern(step + 2));
+        s.requeue(id, next);
+    }
+    log
+}
+
 #[test]
 fn pifo_snapshot_resume_matches_legacy_straight_run() {
     const N: usize = 6;
-    for kind in SchedulerKind::ALL.into_iter().filter(|k| k.has_legacy()) {
-        let mut legacy = kind.build_legacy(1e6);
+    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
+        let mut legacy = oracle::build(kind, 1e6);
         let mut pifo = kind.build(1e6);
         for _ in 0..N {
             legacy.add_session(1.0 / N as f64);
@@ -302,28 +335,10 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
                 pifo.backlog(SessionId(i), len_pattern(i as u64), None);
             }
         }
-        let run = |s: &mut MixedScheduler, q: &mut [u64], start: u64, steps: u64| {
-            let mut log = Vec::new();
-            for step in start..start + steps {
-                let Some(id) = s.select_next() else {
-                    for (i, qq) in q.iter_mut().enumerate() {
-                        *qq = 1 + (i as u64 + step) % 3;
-                        s.backlog(SessionId(i), len_pattern(step + i as u64), None);
-                    }
-                    continue;
-                };
-                let tags = s.tags(id);
-                log.push((id.0, tags.0.to_bits(), tags.1.to_bits()));
-                q[id.0] -= 1;
-                let next = (q[id.0] > 0).then(|| len_pattern(step + 2));
-                s.requeue(id, next);
-            }
-            log
-        };
-        let mut legacy_log = run(&mut legacy, &mut queued_l, 0, 150);
-        legacy_log.extend(run(&mut legacy, &mut queued_l, 150, 150));
+        let mut legacy_log = run_logged(&mut legacy, &mut queued_l, 0, 150);
+        legacy_log.extend(run_logged(&mut legacy, &mut queued_l, 150, 150));
 
-        let mut pifo_log = run(&mut pifo, &mut queued, 0, 150);
+        let mut pifo_log = run_logged(&mut pifo, &mut queued, 0, 150);
         let snap = pifo.save_state();
         let mut resumed = kind.build(1e6);
         for _ in 0..N {
@@ -336,7 +351,7 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
             "{}: PIFO save→load→save is not byte-stable",
             kind.name()
         );
-        pifo_log.extend(run(&mut resumed, &mut queued, 150, 150));
+        pifo_log.extend(run_logged(&mut resumed, &mut queued, 150, 150));
         assert_eq!(
             pifo_log,
             legacy_log,
@@ -347,26 +362,22 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: every eligible-set backend (dual heap, calendar,
-// treap where applicable) must pop in the exact same rank order, so the
-// full dispatch sequence — selections, tags, virtual-time bits, network
-// traces — is byte-identical across backends for every policy.
+// Backend equivalence: the calendar eligible set must pop in the dual
+// heap's exact rank order, so the full dispatch sequence — selections,
+// tags, virtual-time bits, network traces — is byte-identical across
+// backends for every policy.
 // ---------------------------------------------------------------------------
+
+/// A scheduler of `kind` on the calendar backend.
+fn calendar(kind: SchedulerKind, rate_bps: f64) -> MixedScheduler<CalendarEligibleSet> {
+    kind.build_on::<CalendarEligibleSet>(rate_bps)
+}
 
 #[test]
 fn every_backend_matches_dual_heap_in_lockstep() {
     for kind in SchedulerKind::ALL {
-        for &backend in EligibleBackend::all_for(kind) {
-            if backend == EligibleBackend::DualHeap {
-                continue;
-            }
-            let alt = kind.build_with_backend(1e6, backend);
-            let heap = kind.build(1e6);
-            drive_lockstep_pair(kind, alt, heap, 5, 600, 3);
-            let alt = kind.build_with_backend(1e6, backend);
-            let heap = kind.build(1e6);
-            drive_lockstep_pair(kind, alt, heap, 9, 400, 17);
-        }
+        drive_lockstep_pair(kind, calendar(kind, 1e6), kind.build(1e6), 5, 600, 3);
+        drive_lockstep_pair(kind, calendar(kind, 1e6), kind.build(1e6), 9, 400, 17);
     }
 }
 
@@ -374,27 +385,68 @@ fn every_backend_matches_dual_heap_in_lockstep() {
 fn fig3_trace_is_byte_identical_across_backends() {
     for kind in SchedulerKind::ALL {
         let (trace_h, stats_h) = run_fig3ish(move |r| kind.build(r), 1.6);
-        for &backend in EligibleBackend::all_for(kind) {
-            if backend == EligibleBackend::DualHeap {
-                continue;
-            }
-            let (trace_b, stats_b) =
-                run_fig3ish(move |r| kind.build_with_backend(r, backend), 1.6);
-            assert_eq!(
-                stats_b,
-                stats_h,
-                "{} on {}: statistics diverged from dual heap",
-                kind.name(),
-                backend.name()
-            );
-            assert_eq!(
-                trace_b,
-                trace_h,
-                "{} on {}: trace diverged from dual heap",
-                kind.name(),
-                backend.name()
-            );
+        let (trace_b, stats_b) = run_fig3ish(move |r| calendar(kind, r), 1.6);
+        assert_eq!(
+            stats_b,
+            stats_h,
+            "{} on calendar: statistics diverged from dual heap",
+            kind.name()
+        );
+        assert_eq!(
+            trace_b,
+            trace_h,
+            "{} on calendar: trace diverged from dual heap",
+            kind.name()
+        );
+    }
+}
+
+/// Runs `a` mid-busy-period, restores its snapshot into `b` (built on the
+/// other backend) and drives both forward in lockstep.
+fn restore_across(
+    kind: SchedulerKind,
+    label: &str,
+    mut a: impl NodeScheduler,
+    mut b: impl NodeScheduler,
+) {
+    const N: usize = 6;
+    for _ in 0..N {
+        a.add_session(1.0 / N as f64);
+        b.add_session(1.0 / N as f64);
+    }
+    let mut queued: Vec<u64> = (0..N as u64).map(|i| 3 + i % 3).collect();
+    for (i, &q) in queued.iter().enumerate() {
+        if q > 0 {
+            a.backlog(SessionId(i), len_pattern(i as u64), None);
         }
+    }
+    for step in 0..40u64 {
+        let Some(id) = a.select_next() else { break };
+        queued[id.0] -= 1;
+        let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
+        a.requeue(id, next);
+    }
+    b.load_state(&a.save_state()).unwrap();
+    for step in 0..80u64 {
+        let x = a.select_next();
+        let y = b.select_next();
+        assert_eq!(
+            x,
+            y,
+            "{} {label} step {step}: post-restore selection diverged",
+            kind.name()
+        );
+        let Some(id) = x else { break };
+        assert_eq!(
+            a.tags(id).1.to_bits(),
+            b.tags(id).1.to_bits(),
+            "{} {label} step {step}: tags diverged",
+            kind.name()
+        );
+        queued[id.0] = queued[id.0].saturating_sub(1);
+        let next = (queued[id.0] > 0).then(|| len_pattern(step + 5));
+        a.requeue(id, next);
+        b.requeue(id, next);
     }
 }
 
@@ -403,59 +455,19 @@ fn fig3_trace_is_byte_identical_across_backends() {
 /// and both continue identically.
 #[test]
 fn snapshot_restores_across_backends() {
-    const N: usize = 6;
     for kind in SchedulerKind::ALL {
-        for (&from, &to) in [
-            (&EligibleBackend::Calendar, &EligibleBackend::DualHeap),
-            (&EligibleBackend::DualHeap, &EligibleBackend::Calendar),
-        ] {
-            let mut a = kind.build_with_backend(1e6, from);
-            let mut b = kind.build_with_backend(1e6, to);
-            for _ in 0..N {
-                a.add_session(1.0 / N as f64);
-                b.add_session(1.0 / N as f64);
-            }
-            let mut queued: Vec<u64> = (0..N as u64).map(|i| 3 + i % 3).collect();
-            for (i, &q) in queued.iter().enumerate() {
-                if q > 0 {
-                    a.backlog(SessionId(i), len_pattern(i as u64), None);
-                }
-            }
-            // Run `a` mid-busy-period, then restore into `b` (the other
-            // backend) and drive both forward in lockstep.
-            for step in 0..40u64 {
-                let Some(id) = a.select_next() else { break };
-                queued[id.0] -= 1;
-                let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
-                a.requeue(id, next);
-            }
-            b.load_state(&a.save_state()).unwrap();
-            for step in 0..80u64 {
-                let x = a.select_next();
-                let y = b.select_next();
-                assert_eq!(
-                    x,
-                    y,
-                    "{} {}->{} step {step}: post-restore selection diverged",
-                    kind.name(),
-                    from.name(),
-                    to.name()
-                );
-                let Some(id) = x else { break };
-                assert_eq!(
-                    a.tags(id).1.to_bits(),
-                    b.tags(id).1.to_bits(),
-                    "{} {}->{} step {step}: tags diverged",
-                    kind.name(),
-                    from.name(),
-                    to.name()
-                );
-                queued[id.0] = queued[id.0].saturating_sub(1);
-                let next = (queued[id.0] > 0).then(|| len_pattern(step + 5));
-                a.requeue(id, next);
-                b.requeue(id, next);
-            }
-        }
+        restore_across(
+            kind,
+            "calendar->dual-heap",
+            calendar(kind, 1e6),
+            kind.build(1e6),
+        );
+        restore_across(
+            kind,
+            "dual-heap->calendar",
+            kind.build(1e6),
+            calendar(kind, 1e6),
+        );
     }
 }
 
@@ -475,8 +487,8 @@ mod random_differential {
         kind: SchedulerKind,
         label: &str,
         case: u64,
-        mut pifo: MixedScheduler,
-        mut legacy: MixedScheduler,
+        mut pifo: impl NodeScheduler,
+        mut legacy: impl NodeScheduler,
     ) {
         let mut rng = SmallRng::seed_from_u64(0x91f0_0000 + case);
         let n = rng.gen_range_usize(2, 12);
@@ -530,50 +542,45 @@ mod random_differential {
         }
     }
 
-    /// Arbitrary admissible op sequences against the hand-rolled legacy
-    /// oracle (policies that have one — rr is PIFO-native).
+    /// Arbitrary admissible op sequences against the hand-rolled oracle
+    /// (policies that have one — rr is PIFO-native).
     #[test]
     fn random_schedules_agree_for_every_policy() {
-        for kind in SchedulerKind::ALL.into_iter().filter(|k| k.has_legacy()) {
+        for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
             for case in 0..24u64 {
                 drive_random_schedule(
                     kind,
                     "vs-legacy",
                     case,
                     kind.build(1e6),
-                    kind.build_legacy(1e6),
+                    oracle::build(kind, 1e6),
                 );
             }
         }
     }
 
-    /// The same randomized schedules with the calendar (and, for WF²Q+,
-    /// treap) eligible set selected against the dual-heap default — the
-    /// lockstep differential CI runs with the calendar backend.
+    /// The same randomized schedules with the calendar eligible set
+    /// selected against the dual-heap default — the lockstep differential
+    /// CI runs with the calendar backend.
     #[test]
     fn random_schedules_agree_across_backends() {
         for kind in SchedulerKind::ALL {
-            for &backend in EligibleBackend::all_for(kind) {
-                if backend == EligibleBackend::DualHeap {
-                    continue;
-                }
-                for case in 0..24u64 {
-                    drive_random_schedule(
-                        kind,
-                        backend.name(),
-                        case,
-                        kind.build_with_backend(1e6, backend),
-                        kind.build(1e6),
-                    );
-                }
+            for case in 0..24u64 {
+                drive_random_schedule(
+                    kind,
+                    "calendar",
+                    case,
+                    calendar(kind, 1e6),
+                    kind.build(1e6),
+                );
             }
         }
     }
 
     /// One randomized outage/churn run of the Fig. 3 topology; returns the
     /// raw JSONL trace.
-    fn run_random(
-        node: impl Fn(f64) -> MixedScheduler + Copy + 'static,
+    fn run_random<S: NodeScheduler>(
+        node: impl Fn(f64) -> S + Copy + 'static,
         out_start: f64,
         out_len: f64,
         churn_at: f64,
@@ -624,14 +631,19 @@ mod random_differential {
             let mut rng = SmallRng::seed_from_u64(0x07a6_e000 + case);
             let legacy_kinds: Vec<SchedulerKind> = SchedulerKind::ALL
                 .into_iter()
-                .filter(|k| k.has_legacy())
+                .filter(|&k| oracle::covers(k))
                 .collect();
             let kind = legacy_kinds[rng.gen_range_usize(0, legacy_kinds.len())];
             let out_start = rng.gen_range_f64(0.2, 1.0);
             let out_len = rng.gen_range_f64(0.005, 0.08);
             let churn_at = rng.gen_range_f64(0.3, 1.3);
             let trace_p = run_random(move |r| kind.build(r), out_start, out_len, churn_at);
-            let trace_l = run_random(move |r| kind.build_legacy(r), out_start, out_len, churn_at);
+            let trace_l = run_random(
+                move |r| oracle::build(kind, r),
+                out_start,
+                out_len,
+                churn_at,
+            );
             assert_eq!(
                 trace_p,
                 trace_l,
