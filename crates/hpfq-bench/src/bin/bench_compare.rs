@@ -62,7 +62,9 @@ fn main() -> ExitCode {
                     eprintln!("--max-growth requires a value");
                     return ExitCode::FAILURE;
                 };
-                max_growth = v.parse().unwrap_or_else(|e| panic!("--max-growth {v}: {e}"));
+                max_growth = v
+                    .parse()
+                    .unwrap_or_else(|e| panic!("--max-growth {v}: {e}"));
             }
             _ => positional.push(a),
         }

@@ -6,7 +6,7 @@
 use hpfq_analysis::{corollary2_bound, CsvWriter};
 use hpfq_bench::experiments::results_dir;
 use hpfq_core::{vtime, Hierarchy, NodeId, SchedulerKind};
-use hpfq_sim::{CbrSource, GreedyLbSource, Simulation, SmallRng, SourceConfig};
+use hpfq_sim::{CbrSource, GreedyLbSource, Network, Route, SmallRng};
 
 const PKT: u32 = 1000; // bytes; L_max = 8000 bits
 const LINK: f64 = 1e6;
@@ -48,24 +48,25 @@ fn run_trial(rng: &mut SmallRng, depth: usize) -> Trial {
     let sigma_pkts = rng.gen_range_u32(2, 8);
     let sigma_bits = f64::from(sigma_pkts * PKT) * 8.0;
 
-    let mut sim = Simulation::new(h);
-    sim.stats.trace_flow(0);
-    sim.add_source(
+    let mut net = Network::new();
+    net.add_link(h);
+    net.stats.trace_flow(0);
+    net.add_route(
         0,
         GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 30.0),
-        SourceConfig::open_loop(leaf),
+        Route::single(leaf, None, 0.0),
     );
     for (i, &(cl, cr)) in cross_leaves.iter().enumerate() {
         let flow = (i + 1) as u32;
-        sim.add_source(
+        net.add_route(
             flow,
             CbrSource::new(flow, PKT, cr * 1.3, 0.0, 30.0),
-            SourceConfig::open_loop(cl),
+            Route::single(cl, None, 0.0),
         );
     }
-    sim.run(40.0);
+    net.run(40.0);
 
-    let measured = sim
+    let measured = net
         .stats
         .trace(0)
         .iter()

@@ -36,8 +36,8 @@ fn main() {
 
     for kind in [SchedulerKind::Wfq, SchedulerKind::Wf2qPlus] {
         let mut f = fig3::build(kind, Scenario::GuaranteedRates, 1);
-        f.sim.run(10.0);
-        let trace: Vec<ServiceRecord> = f.sim.stats.trace(FLOW_RT1).to_vec();
+        f.net.run(10.0);
+        let trace: Vec<ServiceRecord> = f.net.stats.trace(FLOW_RT1).to_vec();
         // Window: ±0.5 s around the worst spike of the H-WFQ run (reused
         // for the H-WF2Q+ panel so both show the same interval).
         let (t0, t1) = *windows.get_or_insert_with(|| {

@@ -19,7 +19,7 @@ const MEASURED: [u32; 5] = [1, 5, 8, 10, 11];
 
 fn main() {
     let mut f = fig8::build(SchedulerKind::Wf2qPlus);
-    f.sim.run(10.0);
+    f.net.run(10.0);
 
     let dir = results_dir("fig9");
 
@@ -28,7 +28,7 @@ fn main() {
         CsvWriter::create(dir.join("measured_bw.csv"), &["flow", "t_s", "bw_bps"]).expect("csv");
     for &flow in &MEASURED {
         let mut est = BandwidthEstimator::new(0.0, 0.050, 0.3);
-        for rec in f.sim.stats.trace(flow) {
+        for rec in f.net.stats.trace(flow) {
             est.add(rec.end, u64::from(rec.len_bytes));
         }
         for (t, bw) in est.finish(10.0) {
@@ -69,7 +69,7 @@ fn main() {
         for &flow in &MEASURED {
             let node = f.tcp_fluid[(flow - 1) as usize];
             let ideal = alloc[node.0];
-            let meas = hpfq_analysis::measures::bandwidth_over(f.sim.stats.trace(flow), m0, *e);
+            let meas = hpfq_analysis::measures::bandwidth_over(f.net.stats.trace(flow), m0, *e);
             let ratio = meas / ideal;
             worst = worst.max((ratio - 1.0).abs());
             println!(

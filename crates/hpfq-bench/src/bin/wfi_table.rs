@@ -15,7 +15,7 @@
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, CsvWriter};
 use hpfq_bench::experiments::results_dir;
 use hpfq_core::{Hierarchy, MixedScheduler, SchedulerKind};
-use hpfq_sim::{Simulation, SourceConfig, TraceSource};
+use hpfq_sim::{Network, Route, TraceSource};
 
 const PKT: u32 = 125; // 1000 bits
 
@@ -28,9 +28,10 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     for _ in 0..n {
         small.push(h.add_leaf(root, 0.5 / n as f64).unwrap());
     }
-    let mut sim = Simulation::new(h);
+    let mut net = Network::new();
+    net.add_link(h);
     for flow in 0..=n as u32 {
-        sim.stats.trace_flow(flow);
+        net.stats.trace_flow(flow);
     }
     let pkt_bits = f64::from(PKT) * 8.0;
     let round2 = 1.5 * (2 * n + 2) as f64; // mid-schedule second round
@@ -38,31 +39,31 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     let mut big_trace = vec![(0.0, PKT); n + 1];
     big_trace.extend(vec![(round2, PKT); n + 1]);
     arrivals_per_flow.push(big_trace.iter().map(|&(t, _)| (t, pkt_bits)).collect());
-    sim.add_source(
+    net.add_route(
         0,
         TraceSource::new(0, big_trace),
-        SourceConfig::open_loop(big),
+        Route::single(big, None, 0.0),
     );
     for (i, &leaf) in small.iter().enumerate() {
         let flow = (i + 1) as u32;
         let entries = vec![(0.0, PKT), (round2, PKT)];
         arrivals_per_flow.push(entries.iter().map(|&(t, _)| (t, pkt_bits)).collect());
-        sim.add_source(
+        net.add_route(
             flow,
             TraceSource::new(flow, entries),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(1e6);
+    net.run(1e6);
 
     // Worst session WFI, in packets.
     let all: Vec<_> = (0..=n as u32)
-        .flat_map(|fl| sim.stats.trace(fl).iter().copied())
+        .flat_map(|fl| net.stats.trace(fl).iter().copied())
         .collect();
     let w_server = service_curve_from_records(all.iter());
     let mut worst = 0.0_f64;
     for flow in 0..=n as u32 {
-        let w_i = service_curve_from_records(sim.stats.trace(flow).iter());
+        let w_i = service_curve_from_records(net.stats.trace(flow).iter());
         let share = if flow == 0 { 0.5 } else { 0.5 / n as f64 };
         let wfi_bits = empirical_bwfi(&arrivals_per_flow[flow as usize], &w_i, &w_server, share);
         worst = worst.max(wfi_bits / pkt_bits);

@@ -42,8 +42,8 @@ pub fn run_fig3_delays(
     let mut out = Vec::new();
     for &kind in kinds {
         let mut f = fig3::build(kind, scenario, seed);
-        f.sim.run(seconds);
-        let trace = f.sim.stats.trace(FLOW_RT1);
+        f.net.run(seconds);
+        let trace = f.net.stats.trace(FLOW_RT1);
         let series = delay_series(trace);
         let path = dir.join(format!("delay_{}.csv", kind.name().replace('+', "p")));
         let mut w = CsvWriter::create(&path, &["arrival_s", "delay_s"]).expect("write csv");

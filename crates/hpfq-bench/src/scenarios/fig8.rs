@@ -26,7 +26,7 @@
 
 use hpfq_core::{vtime, Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq_fluid::{FluidNodeId, FluidTree};
-use hpfq_sim::{ScheduledOnOffSource, Simulation, SourceConfig};
+use hpfq_sim::{Network, Route, ScheduledOnOffSource};
 use hpfq_tcp::{TcpConfig, TcpSource};
 
 /// Link rate: 10 Mbit/s.
@@ -62,7 +62,7 @@ pub fn on_schedules() -> [Vec<(f64, f64)>; 4] {
 /// The built link-sharing scenario.
 pub struct Fig8 {
     /// The simulation, TCP flows 1,5,8,10,11 traced.
-    pub sim: Simulation<MixedScheduler>,
+    pub net: Network<MixedScheduler>,
     /// Leaf node per TCP session (index 0 ⇒ TCP-1).
     pub tcp_leaves: Vec<NodeId>,
     /// A [`FluidTree`] mirroring the hierarchy, for ideal-share queries.
@@ -104,9 +104,10 @@ pub fn build(kind: SchedulerKind) -> Fig8 {
     on_leaves.push(bld.add_leaf(parent, 0.3).unwrap());
     on_fluid.push(fluid.add_leaf(fparent, 0.3).unwrap());
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for flow in [1u32, 5, 8, 10, 11] {
-        sim.stats.trace_flow(flow);
+        net.stats.trace_flow(flow);
     }
 
     // TCP sources: greedy Reno, ~4 ms base RTT, 8-segment buffers. The
@@ -129,34 +130,22 @@ pub fn build(kind: SchedulerKind) -> Fig8 {
                 rcv_window: 128.0,
             },
         );
-        sim.add_source(
-            flow,
-            tcp,
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(8 * 1024),
-                delivery_delay: 0.002,
-            },
-        );
+        net.add_route(flow, tcp, Route::single(leaf, Some(8 * 1024), 0.002));
     }
 
     // On/off sources per schedule.
     let schedules = on_schedules();
     for (i, &leaf) in on_leaves.iter().enumerate() {
         let flow = FLOW_ON_BASE + (i + 1) as u32;
-        sim.add_source(
+        net.add_route(
             flow,
             ScheduledOnOffSource::new(flow, ONOFF_BYTES, ON_RATES[i], schedules[i].clone()),
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(16 * 1024),
-                delivery_delay: 0.0,
-            },
+            Route::single(leaf, Some(16 * 1024), 0.0),
         );
     }
 
     Fig8 {
-        sim,
+        net,
         tcp_leaves,
         fluid,
         tcp_fluid,
@@ -212,7 +201,7 @@ mod tests {
         assert_eq!(f.tcp_leaves.len(), 11);
         assert_eq!(f.on_fluid.len(), 4);
         // Hierarchy and fluid tree agree structurally.
-        assert_eq!(f.sim.server().node_count(), f.fluid.node_count());
+        assert_eq!(f.net.link_server(0).node_count(), f.fluid.node_count());
     }
 
     #[test]
@@ -233,9 +222,9 @@ mod tests {
     #[test]
     fn short_run_moves_traffic() {
         let mut f = build(SchedulerKind::Wf2qPlus);
-        f.sim.run(0.5);
-        let total: u64 = (1..=11).map(|fl| f.sim.stats.flow(fl).bytes).sum();
+        f.net.run(0.5);
+        let total: u64 = (1..=11).map(|fl| f.net.stats.flow(fl).bytes).sum();
         assert!(total > 50_000, "TCPs should ramp up: {total} bytes");
-        f.sim.verify_conservation().unwrap();
+        f.net.verify_conservation().unwrap();
     }
 }

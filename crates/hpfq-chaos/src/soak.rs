@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq_obs::{EscalationPolicy, FlightRecorder, InvariantKind, InvariantObserver, JsonlObserver};
-use hpfq_sim::{CbrSource, PeriodicOnOffSource, PoissonSource, Simulation, SourceConfig};
+use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
 use crate::inject::ChaosInjector;
@@ -161,7 +161,7 @@ pub struct ChaosReport {
 pub fn build_soak_sim(
     kind: SchedulerKind,
     cfg: &ChaosConfig,
-) -> (Simulation<MixedScheduler, SoakObserver>, [NodeId; 3]) {
+) -> (Network<MixedScheduler, SoakObserver>, [NodeId; 3]) {
     let obs: SoakObserver = (
         InvariantObserver::new(),
         (
@@ -181,46 +181,50 @@ pub fn build_soak_sim(
     let leaf1 = bld.add_leaf(class_a, 0.4).unwrap();
     let leaf2 = bld.add_leaf(class_b, 1.0).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for f in BASE_FLOWS {
-        sim.stats.trace_flow(f);
+        net.stats.trace_flow(f);
     }
-    sim.add_source(
+    net.add_route(
         0,
         CbrSource::new(0, 1000, 0.50e6, 0.0, cfg.horizon),
-        SourceConfig::open_loop(leaf0),
+        Route::single(leaf0, None, 0.0),
     );
-    sim.add_source(
+    net.add_route(
         1,
         PoissonSource::new(1, 800, 0.35e6, 0.0, cfg.horizon, cfg.seed ^ 0xF1),
-        SourceConfig::open_loop(leaf1),
+        Route::single(leaf1, None, 0.0),
     );
-    sim.add_source(
+    net.add_route(
         2,
         PeriodicOnOffSource::new(2, 1200, 0.8e6, 0.5, 1.0, 0.0, cfg.horizon),
-        SourceConfig::open_loop(leaf2),
+        Route::single(leaf2, None, 0.0),
     );
-    (sim, [leaf0, leaf1, leaf2])
+    (net, [leaf0, leaf1, leaf2])
 }
 
 /// Runs one scheduler under the shared `plan` and injector config.
 fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
-    let (mut sim, base_leaves) = build_soak_sim(kind, cfg);
-    let base_rates: Vec<f64> = base_leaves.iter().map(|&l| sim.server().rate(l)).collect();
+    let (mut net, base_leaves) = build_soak_sim(kind, cfg);
+    let base_rates: Vec<f64> = base_leaves
+        .iter()
+        .map(|&l| net.link_server(0).rate(l))
+        .collect();
 
-    sim.set_fault_injector(ChaosInjector::new(*cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
+    net.set_fault_injector(ChaosInjector::new(*cfg));
+    net.set_escalation_policy(EscalationPolicy::standard());
     for (t, cmd) in plan.commands {
-        sim.schedule_command(t, cmd);
+        net.schedule_command(t, cmd);
     }
-    sim.run(cfg.horizon);
+    net.run(cfg.horizon);
 
     // ---- harvest (stats before the observer is consumed) ----------------
     let mut per_flow = BTreeMap::new();
     let mut flow_ids: Vec<u32> = BASE_FLOWS.to_vec();
     flow_ids.extend_from_slice(&plan.churn_flows);
     for f in flow_ids {
-        let fs = sim.stats.flow(f);
+        let fs = net.stats.flow(f);
         per_flow.insert(
             f,
             FlowLedger {
@@ -248,13 +252,13 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     let window_start = plan.last_fault.max(cfg.quiet_from()) + 0.5;
     let any_base_quarantined = BASE_FLOWS
         .iter()
-        .any(|&f| sim.escalation().is_quarantined(f));
+        .any(|&f| net.escalation().is_quarantined(f));
     let mut norms = Vec::new();
     for (i, &f) in BASE_FLOWS.iter().enumerate() {
-        if any_base_quarantined || sim.server().leaf_queue_bytes(base_leaves[i]) == 0 {
+        if any_base_quarantined || net.link_server(0).leaf_queue_bytes(base_leaves[i]) == 0 {
             continue;
         }
-        let bytes: u64 = sim
+        let bytes: u64 = net
             .stats
             .trace(f)
             .iter()
@@ -272,15 +276,18 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         None
     };
 
-    let served_packets = sim.stats.total_packets;
-    let served_bytes = sim.stats.total_bytes;
-    let quarantined = sim.escalation().quarantined_flows();
-    let halted = sim.is_halted();
-    let command_errors = sim.command_errors.len();
-    let conservation = sim.verify_conservation();
-    let spans = sim.span_snapshot();
+    let served_packets = net.stats.total_packets;
+    let served_bytes = net.stats.total_bytes;
+    let quarantined = net.escalation().quarantined_flows();
+    let halted = net.is_halted();
+    let command_errors = net.command_errors.len();
+    let conservation = net.verify_conservation();
+    let spans = net.span_snapshot();
 
-    let (inv, (jsonl, mut flight)) = sim.into_observer();
+    let (inv, (jsonl, mut flight)) = net
+        .into_observers()
+        .pop()
+        .expect("the soak network has one link");
     flight.attach_spans(&spans);
     if conservation.is_err() {
         // Post-mortem on a broken ledger: persist the recent past (no-op
@@ -448,15 +455,17 @@ pub fn quarantine_scenario(seed: u64) -> QuarantineOutcome {
     cfg.churn.enabled = false;
     cfg.drops.enabled = false;
     cfg.jitter.enabled = false;
-    let (mut sim, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
-    sim.run(cfg.horizon);
+    let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
+    net.set_fault_injector(ChaosInjector::new(cfg));
+    net.set_escalation_policy(EscalationPolicy::standard());
+    net.run(cfg.horizon);
     QuarantineOutcome {
-        quarantined: sim.escalation().quarantined_flows(),
-        root_share_after: sim.server().allocated_share(sim.server().root()),
-        served_bytes: sim.stats.total_bytes,
-        conservation: sim.verify_conservation(),
+        quarantined: net.escalation().quarantined_flows(),
+        root_share_after: net
+            .link_server(0)
+            .allocated_share(net.link_server(0).root()),
+        served_bytes: net.stats.total_bytes,
+        conservation: net.verify_conservation(),
     }
 }
 
@@ -486,21 +495,24 @@ pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
     cfg.churn.enabled = false;
     cfg.drops.enabled = false;
     cfg.jitter.enabled = false;
-    let (mut sim, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy {
+    let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
+    net.set_fault_injector(ChaosInjector::new(cfg));
+    net.set_escalation_policy(EscalationPolicy {
         quarantine_after: 3,
         halt_after: 1,
     });
-    sim.observer_mut()
+    net.observer_of_mut(0)
         .1
          .1
         .set_dump_path(Some(flight_path.to_string()));
-    sim.run(cfg.horizon);
-    let halted = sim.is_halted();
-    let quarantined = sim.escalation().quarantined_flows();
-    let spans = sim.span_snapshot();
-    let (_, (_, mut flight)) = sim.into_observer();
+    net.run(cfg.horizon);
+    let halted = net.is_halted();
+    let quarantined = net.escalation().quarantined_flows();
+    let spans = net.span_snapshot();
+    let (_, (_, mut flight)) = net
+        .into_observers()
+        .pop()
+        .expect("the soak network has one link");
     flight.attach_spans(&spans);
     // The auto-dump fired mid-run, before any span profile existed;
     // rewrite the artifact so the on-disk post-mortem carries the spans

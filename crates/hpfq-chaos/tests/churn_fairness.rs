@@ -10,7 +10,7 @@
 
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, theorem1_bwfi, wf2q_plus_bwfi};
 use hpfq_core::{Hierarchy, NodeScheduler, SchedulerKind};
-use hpfq_sim::{SimCommand, Simulation, SourceConfig, TraceSource};
+use hpfq_sim::{Network, Route, SimCommand, TraceSource};
 
 const RATE: f64 = 1000.0; // 1 packet per second
 const PKT: u32 = 125; // 1000 bits
@@ -33,17 +33,18 @@ fn measured_bwfi<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static) -> Vec<
     let class = bld.add_internal(root, 0.5).unwrap();
     let big = bld.add_leaf(class, 1.0).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     let mut arrivals: Vec<Vec<(f64, f64)>> = Vec::new();
 
     let mut big_trace = vec![(ROUND1, PKT); N + 1];
     big_trace.extend(vec![(ROUND2, PKT); N + 1]);
     arrivals.push(big_trace.iter().map(|&(t, _)| (t, PKT_BITS)).collect());
-    sim.stats.trace_flow(0);
-    sim.add_source(
+    net.stats.trace_flow(0);
+    net.add_route(
         0,
         TraceSource::new(0, big_trace),
-        SourceConfig::open_loop(big),
+        Route::single(big, None, 0.0),
     );
 
     // N small flows join (staggered) before round 1; half leave after the
@@ -56,8 +57,8 @@ fn measured_bwfi<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static) -> Vec<
             entries.push((ROUND2, PKT));
         }
         arrivals.push(entries.iter().map(|&(t, _)| (t, PKT_BITS)).collect());
-        sim.stats.trace_flow(flow);
-        sim.schedule_command(
+        net.stats.trace_flow(flow);
+        net.schedule_command(
             1.0 + 0.05 * i as f64,
             SimCommand::AddFlow {
                 parent: root,
@@ -69,20 +70,20 @@ fn measured_bwfi<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static) -> Vec<
             },
         );
         if leaves_early {
-            sim.schedule_command(LEAVE_AT, SimCommand::RemoveFlow(flow));
+            net.schedule_command(LEAVE_AT, SimCommand::RemoveFlow(flow));
         }
     }
-    sim.run(HORIZON);
-    assert!(sim.command_errors.is_empty(), "{:?}", sim.command_errors);
-    sim.verify_conservation().unwrap();
+    net.run(HORIZON);
+    assert!(net.command_errors.is_empty(), "{:?}", net.command_errors);
+    net.verify_conservation().unwrap();
 
     let all: Vec<_> = (0..=N as u32)
-        .flat_map(|f| sim.stats.trace(f).iter().copied())
+        .flat_map(|f| net.stats.trace(f).iter().copied())
         .collect();
     let w_server = service_curve_from_records(all.iter());
     (0..=N as u32)
         .map(|flow| {
-            let w_i = service_curve_from_records(sim.stats.trace(flow).iter());
+            let w_i = service_curve_from_records(net.stats.trace(flow).iter());
             let share = if flow == 0 { 0.5 } else { 0.5 / N as f64 };
             empirical_bwfi(&arrivals[flow as usize], &w_i, &w_server, share)
         })

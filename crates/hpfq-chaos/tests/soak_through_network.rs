@@ -1,54 +1,41 @@
-//! The chaos soak driven through the raw [`Network`] front-end.
+//! The chaos soak driven through the [`Network`] API.
 //!
-//! `Simulation` is a thin wrapper over a one-link `Network`; the soak must
-//! therefore behave identically whether the harness holds the wrapper or
-//! unwraps it with `into_network()` and drives the network API directly —
-//! same fault schedule, same escalation, same trace bytes. This pins the
-//! refactor contract for the chaos layer specifically: fault injection,
-//! scheduled commands, churn, and quarantine all live in `Network`, and
-//! the wrapper adds no behavior of its own.
+//! `build_soak_sim` returns a one-link `Network`; fault injection,
+//! scheduled commands, churn and quarantine all live there. Two runs of
+//! the same seeded soak must agree exactly — same statistics, same
+//! escalation, same trace bytes — or the chaos layer has picked up a
+//! nondeterministic input.
 
 use hpfq_chaos::{build_plan, build_soak_sim, ChaosConfig, ChaosInjector};
 use hpfq_core::{NodeId, SchedulerKind};
 use hpfq_obs::EscalationPolicy;
-use hpfq_sim::Network;
 
-#[test]
-fn soak_is_identical_through_simulation_and_network_front_ends() {
-    let cfg = ChaosConfig::all_faults(5, 15.0);
-    let kind = SchedulerKind::Wf2qPlus;
-
-    // Run A: the Simulation wrapper, as the soak harness uses it.
-    let (mut sim, _) = build_soak_sim(kind, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
-    for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
-        sim.schedule_command(t, cmd);
-    }
-    sim.run(cfg.horizon);
-    sim.verify_conservation().unwrap();
-    let (total_bytes, total_packets) = (sim.stats.total_bytes, sim.stats.total_packets);
-    let quarantined = sim.escalation().quarantined_flows();
-    let (inv_a, (jsonl_a, _flight_a)) = sim.into_observer();
-    assert!(inv_a.events_checked > 0);
-
-    // Run B: the same soak, unwrapped to the raw network.
-    let (sim, _) = build_soak_sim(kind, &cfg);
-    let mut net: Network<_, _> = sim.into_network();
-    net.set_fault_injector(ChaosInjector::new(cfg));
+/// One full soak of `cfg` through the network: `(total_bytes,
+/// total_packets, quarantined flows, JSONL trace)`.
+fn soak(cfg: &ChaosConfig) -> (u64, u64, Vec<u32>, Vec<u8>) {
+    let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, cfg);
+    net.set_fault_injector(ChaosInjector::new(*cfg));
     net.set_escalation_policy(EscalationPolicy::standard());
-    for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
+    for (t, cmd) in build_plan(cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
         net.schedule_command(t, cmd);
     }
     net.run(cfg.horizon);
     net.verify_conservation().unwrap();
-    assert_eq!(net.stats.total_bytes, total_bytes);
-    assert_eq!(net.stats.total_packets, total_packets);
-    assert_eq!(net.escalation().quarantined_flows(), quarantined);
-    let (_, (jsonl_b, _flight_b)) = net.into_observers().pop().expect("one link, one observer");
-    assert_eq!(
-        jsonl_a.into_inner(),
-        jsonl_b.into_inner(),
-        "soak trace diverged between front-ends"
-    );
+    let (total_bytes, total_packets) = (net.stats.total_bytes, net.stats.total_packets);
+    let quarantined = net.escalation().quarantined_flows();
+    let (inv, (jsonl, _flight)) = net.into_observers().remove(0);
+    assert!(inv.events_checked > 0);
+    (total_bytes, total_packets, quarantined, jsonl.into_inner())
+}
+
+#[test]
+fn soak_replays_byte_identically_through_network() {
+    let cfg = ChaosConfig::all_faults(5, 15.0);
+    let a = soak(&cfg);
+    let b = soak(&cfg);
+    assert!(a.1 > 0, "the soak served nothing");
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.1, b.1);
+    assert_eq!(a.2, b.2);
+    assert!(a.3 == b.3, "soak trace diverged between identical runs");
 }

@@ -122,7 +122,10 @@ impl Level {
 enum Loc {
     Under,
     /// Always level 0: higher levels cascade down before a pop.
-    Bucket { bucket: usize, slot: usize },
+    Bucket {
+        bucket: usize,
+        slot: usize,
+    },
 }
 
 /// One hierarchical timing wheel. The nesting invariant — level `l−1`'s
@@ -448,14 +451,15 @@ impl Wheel {
         }
     }
 
-    fn iter_live<'a>(
-        &'a self,
-        generations: &'a [u32],
-    ) -> impl Iterator<Item = &'a CalEntry> + 'a {
+    fn iter_live<'a>(&'a self, generations: &'a [u32]) -> impl Iterator<Item = &'a CalEntry> + 'a {
         self.under
             .iter()
             .chain(self.over.iter())
-            .chain(self.levels.iter().flat_map(|lv| lv.buckets.iter().flatten()))
+            .chain(
+                self.levels
+                    .iter()
+                    .flat_map(|lv| lv.buckets.iter().flatten()),
+            )
             .filter(move |e| generations[e.id as usize] == e.generation)
     }
 
@@ -911,7 +915,12 @@ mod tests {
         // width re-fits; pops must still come out in exact sorted order.
         let mut s = CalendarEligibleSet::new();
         let mut keys: Vec<(usize, f64)> = (0..300)
-            .map(|i| (i, (i as f64 * 1.618_033).sin().abs() * 10f64.powi((i % 10) as i32)))
+            .map(|i| {
+                (
+                    i,
+                    (i as f64 * 1.618_033).sin().abs() * 10f64.powi((i % 10) as i32),
+                )
+            })
             .collect();
         for &(i, k) in &keys {
             s.insert(SessionId(i), k, k + 1.0);
@@ -934,7 +943,9 @@ mod tests {
         let mut brute = BruteForceEligibleSet::default();
         let mut x: u64 = 0x243F_6A88_85A3_08D3;
         let mut lcg = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (x >> 33) as f64 / (1u64 << 31) as f64
         };
         let mut present = [false; 64];
@@ -950,7 +961,11 @@ mod tests {
                 let id = (lcg() * 64.0) as usize % 64;
                 if !present[id] {
                     let start = thr + (lcg() - 0.3) * 50.0;
-                    let start = if start.is_finite() { start.max(0.0) } else { 0.0 };
+                    let start = if start.is_finite() {
+                        start.max(0.0)
+                    } else {
+                        0.0
+                    };
                     let finish = start + lcg() * 100.0;
                     cal.insert(SessionId(id), start, finish);
                     brute.insert(SessionId(id), start, finish);

@@ -192,8 +192,7 @@ pub trait RankProgram {
     /// Session `id` continues with a next head of `bits` after a dispatch
     /// (`S = F` continuation, eq. (28) first case, for virtual-time
     /// policies). Stamp its tags and return the new head's rank.
-    fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64)
-        -> Rank;
+    fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64) -> Rank;
 
     /// Eligibility rule for the next dispatch, computed once per dispatch
     /// ([`Admission::Rotate`] rounds re-pop under the same rule); the

@@ -57,7 +57,12 @@ impl RankProgram for FifoRank {
         Rank::open(self.next_seq(), 0.0)
     }
 
-    fn rank_continuation(&mut self, _id: SessionId, _sessions: &mut SessionTable, _bits: f64) -> Rank {
+    fn rank_continuation(
+        &mut self,
+        _id: SessionId,
+        _sessions: &mut SessionTable,
+        _bits: f64,
+    ) -> Rank {
         // The next head re-joins at the back, like the hand-rolled push_back.
         Rank::open(self.next_seq(), 0.0)
     }

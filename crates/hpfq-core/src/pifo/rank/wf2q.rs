@@ -88,7 +88,9 @@ impl RankProgram for Wf2qRank {
         ref_time: f64,
     ) {
         let _ = self.clock.advance_to(ref_now.unwrap_or(ref_time));
-        let base = self.clock.extend_backlog(id.0, bits * sessions.inv_rate(id));
+        let base = self
+            .clock
+            .extend_backlog(id.0, bits * sessions.inv_rate(id));
         self.pending[id.0].push_back(base);
     }
 

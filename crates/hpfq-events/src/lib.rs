@@ -2,8 +2,7 @@
 //! (`hpfq-sim`'s packet network, `hpfq-fluid`'s fluid server, and the
 //! chaos soak harness).
 //!
-//! Extracted from the original single-link `Simulation` so that event
-//! storage, ordering, and clock discipline exist exactly once:
+//! Event storage, ordering, and clock discipline exist exactly once, here:
 //!
 //! * **Deterministic ordering** — events fire in `(time, seq)` order, where
 //!   `seq` is the scheduling sequence number. Ties in time therefore fire

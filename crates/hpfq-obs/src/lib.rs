@@ -6,7 +6,7 @@
 //! inspectable artifact instead of hidden bookkeeping:
 //!
 //! * [`Observer`] — a zero-cost event hook threaded generically through
-//!   `hpfq_core::Hierarchy` and `hpfq_sim::Simulation`. Every method has an
+//!   `hpfq_core::Hierarchy` and `hpfq_sim::Network`. Every method has an
 //!   empty default body, so the [`NoopObserver`] monomorphizes to nothing.
 //! * [`jsonl::JsonlObserver`] — serializes every event as one JSON object
 //!   per line (plain `std::io`, no external dependencies) and

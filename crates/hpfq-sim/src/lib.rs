@@ -2,9 +2,10 @@
 //!
 //! A discrete-event network simulator standing in for the modified MIT
 //! NETSIM the paper used (§5). It drives H-PFQ [`hpfq_core::Hierarchy`]
-//! instances as output-link schedulers — one per link of a multi-link
-//! [`Network`], or the single-link [`Simulation`] front-end — on top of
-//! the shared [`hpfq_events`] engine, and provides:
+//! instances as output-link schedulers — one per link of a [`Network`],
+//! the only way to build and run a simulation (a single-link experiment
+//! is a one-link network: [`Network::add_link`] plus [`Route::single`]) —
+//! on top of the shared [`hpfq_events`] engine, and provides:
 //!
 //! * the paper's traffic sources — constant rate (PS-n), deterministic
 //!   on/off (RT-1 and the §5.2 on/off sources), Poisson, multiplexed
@@ -30,7 +31,6 @@
 pub mod network;
 pub mod parallel;
 pub mod rng;
-pub mod simulation;
 pub mod snapshot;
 pub mod source;
 pub mod stats;
@@ -40,7 +40,6 @@ pub use network::{
 };
 pub use parallel::{FallbackReason, ParallelReport, ShardFailure};
 pub use rng::SmallRng;
-pub use simulation::{Simulation, SourceConfig};
 pub use source::{
     load_source, CbrSource, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource,
     ScheduledOnOffSource, Source, SourceOutput, TraceSource,

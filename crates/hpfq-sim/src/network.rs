@@ -7,11 +7,15 @@
 //! delay, is re-enqueued at the next hop, and so on; after the last hop it
 //! is delivered back to its source (ACK clocking for closed-loop sources).
 //!
+//! The paper's single-link experiments are one-link networks: build the
+//! hierarchy, [`Network::add_link`] it (link 0), attach each source with
+//! [`Route::single`], and read results through [`Network::link_server`],
+//! [`Network::observer_of`] and [`Network::into_observers`].
+//!
 //! The event loop is [`hpfq_events::Engine`] — the same deterministic
 //! `(time, seq)` FIFO-tie-breaking core used by the fluid simulator and the
-//! chaos harness — so a one-link network replays the legacy single-link
-//! [`crate::Simulation`] byte-for-byte (that wrapper now *is* a one-link
-//! network).
+//! chaos harness. `tests/network.rs` pins a one-link run to a frozen
+//! golden trace.
 //!
 //! Every hierarchy is stamped with its link id, so one shared observer
 //! (e.g. a [`hpfq_obs::JsonlObserver`] over a [`hpfq_obs::SharedBuf`])
@@ -103,12 +107,9 @@ impl Route {
 /// environmental faults; they are part of the event schedule, so runs stay
 /// deterministic.
 pub enum SimCommand {
-    /// Change link 0's rate to `bps` (bits/s) — the single-link form kept
-    /// for [`crate::Simulation`] compatibility. `0.0` models an outage:
+    /// Change `link`'s rate to `bps` (bits/s). `0.0` models an outage:
     /// the in-flight packet is suspended and resumes — with its
     /// already-sent bits credited — when a later command restores service.
-    SetLinkRate(f64),
-    /// Change the rate of a specific link (multi-link networks).
     SetLinkRateOn {
         /// Link to change.
         link: usize,
@@ -141,7 +142,6 @@ pub enum SimCommand {
 impl std::fmt::Debug for SimCommand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimCommand::SetLinkRate(r) => write!(f, "SetLinkRate({r})"),
             SimCommand::SetLinkRateOn { link, bps } => {
                 write!(f, "SetLinkRateOn{{link:{link},bps:{bps}}}")
             }
@@ -311,7 +311,6 @@ pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
     let (class, content) = match ev {
         NetEvent::Command(cmd) => {
             let c = match cmd {
-                SimCommand::SetLinkRate(_) => 0,
                 SimCommand::SetLinkRateOn { link, .. } => *link as u64,
                 SimCommand::AddFlow { flow, .. } => u64::from(*flow),
                 SimCommand::RemoveFlow(flow) => u64::from(*flow),
@@ -706,7 +705,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 link_shard[self.sources[*src].route.hops[*hop].link]
             }
             NetEvent::Command(cmd) => match cmd {
-                SimCommand::SetLinkRate(_) | SimCommand::AddFlow { .. } => link_shard[0],
+                SimCommand::AddFlow { .. } => link_shard[0],
                 SimCommand::SetLinkRateOn { link, .. } => {
                     // An out-of-range link is reported as a command error
                     // by whichever shard receives it; route to shard 0.
@@ -1105,7 +1104,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn apply_command(&mut self, cmd: SimCommand) {
         let now = self.engine.now();
         match cmd {
-            SimCommand::SetLinkRate(bps) => self.rate_command(0, bps),
             SimCommand::SetLinkRateOn { link, bps } => {
                 if link >= self.links.len() {
                     self.command_errors
@@ -1418,11 +1416,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             .leaves_iter()
             .map(|leaf| l.server.leaf_queue_bytes(leaf))
             .sum();
-        let train: u64 = l
-            .train
-            .iter()
-            .map(|(_, p)| u64::from(p.len_bytes))
-            .sum();
+        let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
         leaves + train
     }
 
@@ -1437,11 +1431,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     .leaves_iter()
                     .map(|leaf| l.server.leaf_queue_bytes(leaf))
                     .sum();
-                let train: u64 = l
-                    .train
-                    .iter()
-                    .map(|(_, p)| u64::from(p.len_bytes))
-                    .sum();
+                let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
                 leaves + train
             })
             .sum()
@@ -1551,5 +1541,402 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// resume from.
     pub fn last_checkpoint(&self) -> Option<&Value> {
         self.last_checkpoint.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::{CbrSource, GreedyLbSource};
+    use hpfq_core::{MixedScheduler, SchedulerKind};
+
+    fn server(rate: f64) -> Hierarchy<MixedScheduler> {
+        Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build()
+    }
+
+    /// Two equal CBR flows at half the link rate each: no queueing beyond
+    /// one packet, all traffic delivered.
+    #[test]
+    fn two_cbr_flows_fit() {
+        let mut h = server(16_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 100.0),
+            Route::single(a, None, 0.0),
+        );
+        net.add_route(
+            1,
+            CbrSource::new(1, 1000, 8000.0, 0.0, 100.0),
+            Route::single(b, None, 0.0),
+        );
+        net.run(10.0);
+        let fa = net.stats.flow(0);
+        let fb = net.stats.flow(1);
+        assert!(fa.packets >= 9 && fb.packets >= 9, "{fa:?} {fb:?}");
+        // Each packet takes 0.5 s on the wire; worst-case head-of-line wait
+        // is one competing packet.
+        assert!(fa.delay_max <= 1.0 + 1e-9, "{}", fa.delay_max);
+        assert!(fb.delay_max <= 1.0 + 1e-9);
+        net.verify_conservation().unwrap();
+    }
+
+    /// A greedy leaky-bucket flow against a backlogged competitor respects
+    /// the WF²Q+ delay bound σ/r_i + L_max/r (Theorem 4(3)).
+    #[test]
+    fn delay_bound_holds_depth_one() {
+        let rate = 80_000.0;
+        let mut h = server(rate);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.25).unwrap(); // r_a = 20 kbit/s
+        let b = h.add_leaf(root, 0.75).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // sigma = 5 packets of 1000 bytes, rho = r_a.
+        net.add_route(
+            0,
+            GreedyLbSource::new(0, 1000, 5000, 20_000.0, 0.0, 50.0),
+            Route::single(a, None, 0.0),
+        );
+        // Competitor saturates its share.
+        net.add_route(
+            1,
+            CbrSource::new(1, 1000, 70_000.0, 0.0, 50.0),
+            Route::single(b, None, 0.0),
+        );
+        net.stats.trace_flow(0);
+        net.run(60.0);
+        let sigma_bits = 5000.0 * 8.0;
+        let bound = sigma_bits / 20_000.0 + 8000.0 / rate;
+        for rec in net.stats.trace(0) {
+            assert!(
+                rec.delay() <= bound + 1e-9,
+                "packet {} delayed {} > bound {}",
+                rec.id,
+                rec.delay(),
+                bound
+            );
+        }
+        assert!(net.stats.flow(0).packets > 100);
+        net.verify_conservation().unwrap();
+    }
+
+    /// Drop-tail buffers drop exactly the overflow.
+    #[test]
+    fn buffer_drops() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // Burst of 10 packets into a 3-packet buffer; service drains one
+        // per second.
+        net.add_route(
+            0,
+            GreedyLbSource::new(0, 1000, 10_000, 1.0, 0.0, 0.5),
+            Route::single(a, Some(3000), 0.0),
+        );
+        net.run(100.0);
+        let f = net.stats.flow(0);
+        assert_eq!(f.packets, 3);
+        assert_eq!(f.drops, 7);
+        net.verify_conservation().unwrap();
+    }
+
+    /// The event arena reuses fired slots: a long run with a bounded number
+    /// of concurrently outstanding events must not grow memory linearly
+    /// with the packet count.
+    #[test]
+    fn event_arena_stays_bounded() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
+            0,
+            CbrSource::new(0, 500, 6000.0, 0.0, 1e9),
+            Route::single(a, None, 0.0),
+        );
+        net.add_route(
+            1,
+            CbrSource::new(1, 500, 6000.0, 0.0, 1e9),
+            Route::single(b, None, 0.0),
+        );
+        net.run(500.0);
+        // ~1500 packets served; per live source there is at most one wake,
+        // one in-flight TxComplete, and one pending Deliver at a time.
+        assert!(net.stats.total_packets > 900, "{}", net.stats.total_packets);
+        assert!(
+            net.event_arena_len() <= 16,
+            "event arena grew to {} slots for {} packets",
+            net.event_arena_len(),
+            net.stats.total_packets
+        );
+        assert!(net.outstanding_events() <= net.event_arena_len());
+        net.verify_conservation().unwrap();
+    }
+
+    /// Work conservation: link is never idle while traffic is queued —
+    /// verified by total throughput equal to capacity over a saturated
+    /// window.
+    #[test]
+    fn work_conserving_throughput() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // Both flows offer 1.5x their share: link saturated.
+        net.add_route(
+            0,
+            CbrSource::new(0, 500, 6000.0, 0.0, 1000.0),
+            Route::single(a, None, 0.0),
+        );
+        net.add_route(
+            1,
+            CbrSource::new(1, 500, 6000.0, 0.0, 1000.0),
+            Route::single(b, None, 0.0),
+        );
+        net.run(100.0);
+        // 100 s at 8 kbit/s = 100_000 bytes, minus sub-packet slack.
+        assert!(
+            net.stats.total_bytes >= 99_000,
+            "{} bytes",
+            net.stats.total_bytes
+        );
+        // Fair split.
+        let ra = net.stats.flow(0).bytes as f64;
+        let rb = net.stats.flow(1).bytes as f64;
+        assert!((ra / rb - 1.0).abs() < 0.02, "{ra} vs {rb}");
+        net.verify_conservation().unwrap();
+    }
+
+    /// A link outage suspends the in-flight packet and resumes it with its
+    /// already-sent bits credited; every offered packet is still served.
+    #[test]
+    fn outage_suspends_and_resumes_inflight() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // 1000-byte packets at exactly link rate: one per second, t=0..9.
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
+            Route::single(a, None, 0.0),
+        );
+        // Outage from 2.5 s to 4.5 s: the packet in service (started at
+        // 2.0) is half-sent; it must finish 0.5 s after recovery.
+        net.schedule_command(2.5, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+        net.schedule_command(
+            4.5,
+            SimCommand::SetLinkRateOn {
+                link: 0,
+                bps: 8000.0,
+            },
+        );
+        net.run(30.0);
+        assert_eq!(net.stats.flow(0).packets, 10);
+        // 10 s of work + 2 s outage.
+        assert!(
+            (net.stats.last_departure - 12.0).abs() < 1e-9,
+            "{}",
+            net.stats.last_departure
+        );
+        assert!(net.command_errors.is_empty(), "{:?}", net.command_errors);
+        net.verify_conservation().unwrap();
+    }
+
+    /// A mid-transmission rate change rescales the in-flight packet's
+    /// completion instead of letting the stale completion fire.
+    #[test]
+    fn rate_change_mid_packet_rescales_completion() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // One isolated packet at t=0 (1 s at 8 kbit/s).
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 0.5),
+            Route::single(a, None, 0.0),
+        );
+        // At 0.5 s (half sent) the link halves: remaining 4000 bits at
+        // 4 kbit/s take 1 s more -> completes at 1.5 s.
+        net.schedule_command(
+            0.5,
+            SimCommand::SetLinkRateOn {
+                link: 0,
+                bps: 4_000.0,
+            },
+        );
+        net.run(10.0);
+        assert_eq!(net.stats.flow(0).packets, 1);
+        assert!(
+            (net.stats.last_departure - 1.5).abs() < 1e-9,
+            "{}",
+            net.stats.last_departure
+        );
+        net.verify_conservation().unwrap();
+    }
+
+    /// Flow churn via commands: a flow joins mid-run, competes, and leaves
+    /// with its backlog purged and accounted.
+    #[test]
+    fn churn_commands_add_and_remove_flows() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        // Flow 0 saturates the link alone.
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 30.0),
+            Route::single(a, None, 0.0),
+        );
+        // Flow 1 joins at t=5 offering its full share, leaves at t=15
+        // while backlogged (it offered 8 kbit/s but was served 4 kbit/s).
+        net.schedule_command(
+            5.0,
+            SimCommand::AddFlow {
+                parent: root,
+                phi: 0.5,
+                flow: 1,
+                source: Box::new(CbrSource::new(1, 1000, 8000.0, 5.0, 15.0)),
+                buffer_bytes: None,
+                delivery_delay: 0.0,
+            },
+        );
+        net.schedule_command(15.0, SimCommand::RemoveFlow(1));
+        net.run(40.0);
+        assert!(net.command_errors.is_empty(), "{:?}", net.command_errors);
+        let f1 = net.stats.flow(1);
+        assert!(f1.packets > 0, "joined flow was never served");
+        assert!(
+            f1.purged_packets > 0,
+            "backlogged leaver should have purged packets: {f1:?}"
+        );
+        // Flow 0 is whole: everything it offered was eventually served.
+        let f0 = net.stats.flow(0);
+        assert_eq!(f0.offered_packets, f0.packets);
+        net.verify_conservation().unwrap();
+    }
+
+    /// An injector that corrupts every packet of one flow in flight.
+    struct CorruptFlow(u32);
+
+    impl FaultInjector for CorruptFlow {
+        fn on_packet(&mut self, _now: f64, pkt: &mut Packet) -> PacketVerdict {
+            if pkt.flow == self.0 {
+                pkt.len_bytes = 0;
+                PacketVerdict::Corrupted
+            } else {
+                PacketVerdict::Pass
+            }
+        }
+    }
+
+    /// Corrupted packets strike their flow; at the third strike the flow is
+    /// quarantined while the healthy flow keeps its service. Nothing
+    /// panics and conservation holds throughout.
+    #[test]
+    fn corrupting_flow_is_quarantined_after_three_strikes() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 6000.0, 0.0, 20.0),
+            Route::single(a, None, 0.0),
+        );
+        net.add_route(
+            1,
+            CbrSource::new(1, 1000, 6000.0, 0.0, 20.0),
+            Route::single(b, None, 0.0),
+        );
+        net.set_fault_injector(CorruptFlow(1));
+        net.set_escalation_policy(EscalationPolicy::standard());
+        net.run(30.0);
+        assert!(net.escalation().is_quarantined(1));
+        assert!(!net.is_halted());
+        let f1 = net.stats.flow(1);
+        assert_eq!(f1.packets, 0, "no corrupted packet may be served");
+        assert_eq!(f1.fault_drops, 3, "struck out after three invalid packets");
+        let f0 = net.stats.flow(0);
+        assert_eq!(f0.offered_packets, f0.packets);
+        net.verify_conservation().unwrap();
+    }
+
+    /// Under the strict policy a single invalid packet halts the run —
+    /// cleanly, with accounting still balanced.
+    #[test]
+    fn strict_policy_halts_on_first_invalid_packet() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 20.0),
+            Route::single(a, None, 0.0),
+        );
+        net.set_fault_injector(CorruptFlow(0));
+        net.set_escalation_policy(EscalationPolicy::strict());
+        net.run(30.0);
+        assert!(net.is_halted());
+        assert_eq!(net.stats.flow(0).fault_drops, 1);
+        net.verify_conservation().unwrap();
+    }
+
+    /// An injector dropping every other packet of every flow.
+    struct DropAlternate(u64);
+
+    impl FaultInjector for DropAlternate {
+        fn on_packet(&mut self, _now: f64, _pkt: &mut Packet) -> PacketVerdict {
+            self.0 += 1;
+            if self.0.is_multiple_of(2) {
+                PacketVerdict::Drop
+            } else {
+                PacketVerdict::Pass
+            }
+        }
+    }
+
+    /// Injected drops are accounted separately from buffer drops and keep
+    /// the books balanced.
+    #[test]
+    fn injected_drops_are_accounted() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
+            Route::single(a, None, 0.0),
+        );
+        net.set_fault_injector(DropAlternate(0));
+        net.run(30.0);
+        let f = net.stats.flow(0);
+        assert_eq!(f.offered_packets, 10);
+        assert_eq!(f.fault_drops, 5);
+        assert_eq!(f.packets, 5);
+        assert_eq!(f.drops, 0);
+        net.verify_conservation().unwrap();
     }
 }

@@ -247,9 +247,6 @@ pub(crate) fn load_error(v: &Value) -> Result<HpfqError, SnapError> {
 
 fn save_command(cmd: &SimCommand) -> Result<Value, SnapError> {
     Ok(match cmd {
-        SimCommand::SetLinkRate(bps) => {
-            Value::List(vec![Value::Str("set_rate".into()), Value::F64(*bps)])
-        }
         SimCommand::SetLinkRateOn { link, bps } => Value::List(vec![
             Value::Str("set_rate_on".into()),
             Value::U64(*link as u64),
@@ -281,7 +278,6 @@ fn save_command(cmd: &SimCommand) -> Result<Value, SnapError> {
 fn load_command(v: &Value) -> Result<SimCommand, SnapError> {
     let (tag, rest) = tagged(v, "command")?;
     match tag.as_str() {
-        "set_rate" if rest.len() == 1 => Ok(SimCommand::SetLinkRate(rest[0].as_f64()?)),
         "set_rate_on" if rest.len() == 2 => Ok(SimCommand::SetLinkRateOn {
             link: rest[0].as_usize()?,
             bps: rest[1].as_f64()?,

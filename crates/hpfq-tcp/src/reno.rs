@@ -344,7 +344,7 @@ impl Source for TcpSource {
 mod tests {
     use super::*;
     use hpfq_core::{Hierarchy, SchedulerKind};
-    use hpfq_sim::{Simulation, SourceConfig};
+    use hpfq_sim::{Network, Route};
 
     fn run_one_tcp(
         link_bps: f64,
@@ -355,7 +355,8 @@ mod tests {
         let mut h = Hierarchy::builder(link_bps, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         let tcp = TcpSource::new(
             0,
             TcpConfig {
@@ -364,18 +365,14 @@ mod tests {
                 ..TcpConfig::default()
             },
         );
-        sim.add_source(
+        net.add_route(
             0,
             tcp,
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(buffer_bytes),
-                delivery_delay,
-            },
+            Route::single(leaf, Some(buffer_bytes), delivery_delay),
         );
-        sim.run(horizon);
-        let drops = sim.stats.flow(0).drops;
-        (sim.stats.flow(0), drops)
+        net.run(horizon);
+        let drops = net.stats.flow(0).drops;
+        (net.stats.flow(0), drops)
     }
 
     /// A single greedy TCP over an otherwise idle link fills the pipe.
@@ -413,7 +410,8 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.75).unwrap();
         let b = h.add_leaf(root, 0.25).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         for (flow, leaf) in [(0u32, a), (1u32, b)] {
             let tcp = TcpSource::new(
                 flow,
@@ -423,19 +421,11 @@ mod tests {
                     ..TcpConfig::default()
                 },
             );
-            sim.add_source(
-                flow,
-                tcp,
-                SourceConfig {
-                    leaf,
-                    buffer_bytes: Some(16_000),
-                    delivery_delay: 0.01,
-                },
-            );
+            net.add_route(flow, tcp, Route::single(leaf, Some(16_000), 0.01));
         }
-        sim.run(40.0);
-        let ra = sim.stats.flow(0).bytes as f64;
-        let rb = sim.stats.flow(1).bytes as f64;
+        net.run(40.0);
+        let ra = net.stats.flow(0).bytes as f64;
+        let rb = net.stats.flow(1).bytes as f64;
         let ratio = ra / rb;
         assert!(
             (2.2..4.0).contains(&ratio),
@@ -536,19 +526,12 @@ mod tests {
         let mut h = Hierarchy::builder(400_000.0, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         let tcp = TcpSource::new(0, TcpConfig::default());
-        sim.add_source(
-            0,
-            tcp,
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(5_000),
-                delivery_delay: 0.02,
-            },
-        );
-        sim.run(30.0);
-        let stats = sim.stats.flow(0);
+        net.add_route(0, tcp, Route::single(leaf, Some(5_000), 0.02));
+        net.run(30.0);
+        let stats = net.stats.flow(0);
         // Progress implies holes were repaired despite drops.
         assert!(stats.drops > 0);
         assert!(stats.packets > 500, "{} packets", stats.packets);

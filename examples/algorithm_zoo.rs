@@ -8,7 +8,7 @@
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records};
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, TraceSource};
 
 const LINK: f64 = 1e6;
 
@@ -25,44 +25,45 @@ fn run(kind: SchedulerKind) -> (f64, f64) {
     }
     let newcomer = h.add_leaf(root, 0.05).unwrap();
 
-    let mut sim = Simulation::new(h);
+    let mut net = Network::new();
+    net.add_link(h);
     for flow in 0..12u32 {
-        sim.stats.trace_flow(flow);
+        net.stats.trace_flow(flow);
     }
     let pkt = 500u32; // 4 ms on the wire
-    sim.add_source(
+    net.add_route(
         0,
         TraceSource::new(0, vec![(0.0, pkt); 21]),
-        SourceConfig::open_loop(big),
+        Route::single(big, None, 0.0),
     );
     for (i, &leaf) in small.iter().enumerate() {
         let flow = 1 + i as u32;
-        sim.add_source(
+        net.add_route(
             flow,
             TraceSource::new(flow, vec![(0.0, pkt)]),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
     // The newcomer arrives at 20 ms — right after WFQ-family schedulers
     // have let the big session run ahead.
-    sim.add_source(
+    net.add_route(
         11,
         TraceSource::new(11, vec![(0.020, pkt)]),
-        SourceConfig::open_loop(newcomer),
+        Route::single(newcomer, None, 0.0),
     );
-    sim.run(10.0);
+    net.run(10.0);
 
     // Empirical B-WFI of the big session, in packets.
-    let w_big = service_curve_from_records(sim.stats.trace(0).iter());
+    let w_big = service_curve_from_records(net.stats.trace(0).iter());
     let all: Vec<_> = (0..12u32)
-        .flat_map(|f| sim.stats.trace(f).iter().copied())
+        .flat_map(|f| net.stats.trace(f).iter().copied())
         .collect();
     let w_srv = service_curve_from_records(all.iter());
     let arr = vec![(0.0, 21.0 * f64::from(pkt) * 8.0)];
     let wfi_pkts = empirical_bwfi(&arr, &w_big, &w_srv, 0.5) / (f64::from(pkt) * 8.0);
 
     // Newcomer delay in ms.
-    let delay = sim.stats.trace(11)[0].delay() * 1e3;
+    let delay = net.stats.trace(11)[0].delay() * 1e3;
     (wfi_pkts, delay)
 }
 

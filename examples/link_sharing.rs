@@ -12,7 +12,7 @@
 //! idle agencies' bandwidth is redistributed through the hierarchy.
 
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, Network, Route};
 
 const LINK: f64 = 45e6;
 const PKT: u32 = 1500;
@@ -31,36 +31,37 @@ fn main() {
         others.push(bld.add_leaf(root, 0.05).unwrap());
     }
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for flow in 0..12u32 {
-        sim.stats.trace_flow(flow);
+        net.stats.trace_flow(flow);
     }
     // A1's real-time class sends hard at 30 Mbit/s (above its 18 Mbit/s
     // guarantee); best-effort floods too. Agencies 2..6 are active at
     // their shares; 7..11 are idle until t=2 s.
-    sim.add_source(
+    net.add_route(
         0,
         CbrSource::new(0, PKT, 30e6, 0.0, 10.0),
-        SourceConfig::open_loop(a1_rt),
+        Route::single(a1_rt, None, 0.0),
     );
-    sim.add_source(
+    net.add_route(
         1,
         CbrSource::new(1, PKT, 20e6, 0.0, 10.0),
-        SourceConfig::open_loop(a1_be),
+        Route::single(a1_be, None, 0.0),
     );
     for (i, &leaf) in others.iter().enumerate() {
         let flow = 2 + i as u32;
         let start = if i < 5 { 0.0 } else { 2.0 };
-        sim.add_source(
+        net.add_route(
             flow,
             CbrSource::new(flow, PKT, 5e6, start, 10.0),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(4.0);
+    net.run(4.0);
 
     let bw = |flow: u32, t0: f64, t1: f64| {
-        hpfq::analysis::measures::bandwidth_over(sim.stats.trace(flow), t0, t1) / 1e6
+        hpfq::analysis::measures::bandwidth_over(net.stats.trace(flow), t0, t1) / 1e6
     };
     println!("Fig. 1 link sharing under H-WF2Q+ (45 Mbit/s link), Mbit/s:\n");
     println!(

@@ -19,7 +19,7 @@ use std::io::BufWriter;
 use hpfq::analysis::service_records_from_trace;
 use hpfq::obs::jsonl::parse_trace;
 use hpfq::obs::{InvariantObserver, JsonlObserver, MetricsObserver};
-use hpfq::sim::{CbrSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, Network, Route};
 use hpfq::{Hierarchy, SchedulerKind};
 
 fn main() {
@@ -46,21 +46,22 @@ fn main() {
         bld.add_leaf(b, 0.5).expect("valid share"),
     ];
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for (i, &leaf) in leaves.iter().enumerate() {
         let flow = i as u32;
         // 0.35 Mbit/s each: 1.4x oversubscribed, so queues build and the
         // delay histograms have something to show.
-        sim.add_source(
+        net.add_route(
             flow,
             CbrSource::new(flow, 500, 0.35e6, 0.0, 5.0),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(5.0);
+    net.run(5.0);
 
-    let total = sim.stats.total_packets;
-    let (jsonl, (metrics, invariants)) = sim.into_observer();
+    let total = net.stats.total_packets;
+    let (jsonl, (metrics, invariants)) = net.into_observers().remove(0);
     assert_eq!(jsonl.write_errors, 0, "trace writes failed");
     drop(jsonl.into_inner()); // flush the BufWriter before re-reading
     println!("simulated 5 s: {total} packets transmitted");

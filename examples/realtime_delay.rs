@@ -13,7 +13,7 @@
 
 use hpfq::analysis::corollary2_bound;
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, PacketTrainSource, PeriodicOnOffSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, Route};
 
 const LINK: f64 = 10e6;
 const PKT: u32 = 1500;
@@ -31,27 +31,28 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
     let rt_rate = bld.rate(rt);
     let class_rate = bld.rate(class);
 
-    let mut sim = Simulation::new(bld.build());
-    sim.stats.trace_flow(0);
+    let mut net = Network::new();
+    net.add_link(bld.build());
+    net.stats.trace_flow(0);
     // RT: sparse packets into a usually-empty queue (the §3.1 victim
     // pattern), slightly offset from the cross-traffic period.
-    sim.add_source(
+    net.add_route(
         0,
         PeriodicOnOffSource::new(0, PKT, rt_rate, 0.005, 0.041, 0.013, f64::INFINITY),
-        SourceConfig::open_loop(rt),
+        Route::single(rt, None, 0.0),
     );
     // BE floods the class, letting it run ahead of its fluid schedule
     // under H-WFQ.
-    sim.add_source(
+    net.add_route(
         1,
         CbrSource::new(1, PKT, LINK, 0.0, f64::INFINITY),
-        SourceConfig::open_loop(be),
+        Route::single(be, None, 0.0),
     );
     // Cross traffic: slow trains on each 5% session — queued packets with
     // far-future finish tags, the fuel for WFQ's run-ahead.
     for (i, &leaf) in cross.iter().enumerate() {
         let flow = 2 + i as u32;
-        sim.add_source(
+        net.add_route(
             flow,
             PacketTrainSource::new(
                 flow,
@@ -62,11 +63,11 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
                 0.067 * i as f64 / 10.0,
                 f64::INFINITY,
             ),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(20.0);
-    let delays: Vec<f64> = sim.stats.trace(0).iter().map(|r| r.delay() * 1e3).collect();
+    net.run(20.0);
+    let delays: Vec<f64> = net.stats.trace(0).iter().map(|r| r.delay() * 1e3).collect();
     let max = delays.iter().cloned().fold(0.0, f64::max);
     let bound = corollary2_bound(
         f64::from(PKT) * 8.0,

@@ -11,7 +11,7 @@
 //! the middle — watch the TCPs shrink proportionally and recover.
 
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{ScheduledOnOffSource, Simulation, SourceConfig};
+use hpfq::sim::{Network, Route, ScheduledOnOffSource};
 use hpfq::tcp::{TcpConfig, TcpSource};
 
 const LINK: f64 = 8e6;
@@ -27,11 +27,12 @@ fn main() {
         .map(|&s| bld.add_leaf(tcp_class, s).unwrap())
         .collect();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for (i, &leaf) in tcp_leaves.iter().enumerate() {
         let flow = i as u32;
-        sim.stats.trace_flow(flow);
-        sim.add_source(
+        net.stats.trace_flow(flow);
+        net.add_route(
             flow,
             TcpSource::new(
                 flow,
@@ -41,24 +42,16 @@ fn main() {
                     ..TcpConfig::default()
                 },
             ),
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(8 * 1024),
-                delivery_delay: 0.002,
-            },
+            Route::single(leaf, Some(8 * 1024), 0.002),
         );
     }
     // The on/off source claims its 50% share during [2, 4) s.
-    sim.add_source(
+    net.add_route(
         9,
         ScheduledOnOffSource::new(9, 1024, 3.9e6, vec![(2.0, 4.0)]),
-        SourceConfig {
-            leaf: burst_leaf,
-            buffer_bytes: Some(16 * 1024),
-            delivery_delay: 0.0,
-        },
+        Route::single(burst_leaf, Some(16 * 1024), 0.0),
     );
-    sim.run(6.0);
+    net.run(6.0);
 
     println!("TCP bandwidth (Mbit/s) under H-WF2Q+ shares 0.5/0.3/0.2 of their class:\n");
     println!(
@@ -67,7 +60,7 @@ fn main() {
     );
     for (t0, t1) in [(1.0, 2.0), (2.5, 4.0), (4.5, 6.0)] {
         let bws: Vec<f64> = (0..3)
-            .map(|f| hpfq::analysis::measures::bandwidth_over(sim.stats.trace(f), t0, t1) / 1e6)
+            .map(|f| hpfq::analysis::measures::bandwidth_over(net.stats.trace(f), t0, t1) / 1e6)
             .collect();
         println!(
             "[{t0},{t1})s {:>12.2} {:>12.2} {:>12.2}",

@@ -56,8 +56,8 @@ fn build_net(batch: usize, buf: &SharedBuf) -> Network<MixedScheduler, JsonlObse
         CbrSource::new(2, PKT, 2e6, 0.005, 1.5),
         Route::single(leaves[2], Some(8 * u64::from(PKT)), 0.0),
     );
-    net.schedule_command(0.6, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.63, SimCommand::SetLinkRate(LINK));
+    net.schedule_command(0.6, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+    net.schedule_command(0.63, SimCommand::SetLinkRateOn { link: 0, bps: LINK });
     net
 }
 
@@ -85,8 +85,8 @@ fn dispatch_batch_1_is_byte_identical_to_the_classic_loop() {
             CbrSource::new(2, PKT, 2e6, 0.005, 1.5),
             Route::single(leaves[2], Some(8 * u64::from(PKT)), 0.0),
         );
-        net.schedule_command(0.6, SimCommand::SetLinkRate(0.0));
-        net.schedule_command(0.63, SimCommand::SetLinkRate(LINK));
+        net.schedule_command(0.6, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+        net.schedule_command(0.63, SimCommand::SetLinkRateOn { link: 0, bps: LINK });
         net
     };
     golden.run(3.0);
@@ -163,10 +163,13 @@ fn batched_unfairness_stays_within_k_lmax_of_the_exact_schedule() {
             let flow = i as u32;
             net.stats.trace_flow(flow);
             // Everyone backlogged from t=0: 300 densely spaced packets.
-            let entries: Vec<(f64, u32)> =
-                (0..300).map(|n| (f64::from(n) * 1e-4, PKT)).collect();
-            arrivals_per_flow
-                .push(entries.iter().map(|&(t, l)| (t, f64::from(l) * 8.0)).collect());
+            let entries: Vec<(f64, u32)> = (0..300).map(|n| (f64::from(n) * 1e-4, PKT)).collect();
+            arrivals_per_flow.push(
+                entries
+                    .iter()
+                    .map(|&(t, l)| (t, f64::from(l) * 8.0))
+                    .collect(),
+            );
             net.add_route(
                 flow,
                 TraceSource::new(flow, entries),

@@ -4,7 +4,7 @@
 
 use hpfq::analysis::{corollary2_bound, wf2q_plus_delay_bound};
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, GreedyLbSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, GreedyLbSource, Network, Route};
 
 const PKT: u32 = 1000; // 8000 bits
 const LMAX: f64 = 8000.0;
@@ -21,22 +21,23 @@ fn theorem4_standalone_bound() {
         let cross = h.add_leaf(root, 1.0 - phi).unwrap();
         let r_i = phi * rate;
         let sigma_pkts = 4u32;
-        let mut sim = Simulation::new(h);
-        sim.stats.trace_flow(0);
-        sim.add_source(
+        let mut net = Network::new();
+        net.add_link(h);
+        net.stats.trace_flow(0);
+        net.add_route(
             0,
             GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 20.0),
-            SourceConfig::open_loop(measured),
+            Route::single(measured, None, 0.0),
         );
-        sim.add_source(
+        net.add_route(
             1,
             CbrSource::new(1, PKT, rate, 0.0, 20.0), // cross floods the link
-            SourceConfig::open_loop(cross),
+            Route::single(cross, None, 0.0),
         );
-        sim.run(30.0);
+        net.run(30.0);
         let sigma_bits = f64::from(sigma_pkts * PKT) * 8.0;
         let bound = wf2q_plus_delay_bound(sigma_bits, r_i, LMAX, rate);
-        let trace = sim.stats.trace(0);
+        let trace = net.stats.trace(0);
         assert!(trace.len() > 100);
         for rec in trace {
             assert!(
@@ -72,26 +73,27 @@ fn corollary2_three_levels() {
     let r_i = bld.rate(measured);
     let rates_path = vec![r_i, bld.rate(c2), bld.rate(c1)];
 
-    let mut sim = Simulation::new(bld.build());
-    sim.stats.trace_flow(0);
+    let mut net = Network::new();
+    net.add_link(bld.build());
+    net.stats.trace_flow(0);
     let sigma_pkts = 3u32;
-    sim.add_source(
+    net.add_route(
         0,
         GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 20.0),
-        SourceConfig::open_loop(measured),
+        Route::single(measured, None, 0.0),
     );
     for (flow, leaf) in [(1u32, x1), (2, x2), (3, x3)] {
-        sim.add_source(
+        net.add_route(
             flow,
             CbrSource::new(flow, PKT, rate, 0.0, 20.0),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(30.0);
+    net.run(30.0);
 
     let sigma_bits = f64::from(sigma_pkts * PKT) * 8.0;
     let bound = corollary2_bound(sigma_bits, LMAX, &rates_path);
-    let trace = sim.stats.trace(0);
+    let trace = net.stats.trace(0);
     assert!(trace.len() > 100);
     for rec in trace {
         assert!(
@@ -122,31 +124,32 @@ fn wfq_exceeds_the_wf2q_plus_bound_in_a_hierarchy() {
     };
     let worst_delay = |kind: SchedulerKind| -> f64 {
         let (h, rt, be, cross) = build(kind);
-        let mut sim = Simulation::new(h);
-        sim.stats.trace_flow(0);
+        let mut net = Network::new();
+        net.add_link(h);
+        net.stats.trace_flow(0);
         // BE floods its class; cross sessions send one packet each every
         // 100 ms; the measured session sends one packet every 250 ms into
         // an empty queue (the §3.1 victim pattern).
-        sim.add_source(
+        net.add_route(
             0,
             CbrSource::new(0, PKT, 8000.0 * 4.0, 0.013, 20.0),
-            SourceConfig::open_loop(rt),
+            Route::single(rt, None, 0.0),
         );
-        sim.add_source(
+        net.add_route(
             1,
             CbrSource::new(1, PKT, rate, 0.0, 20.0),
-            SourceConfig::open_loop(be),
+            Route::single(be, None, 0.0),
         );
         for (i, &leaf) in cross.iter().enumerate() {
             let flow = 2 + i as u32;
-            sim.add_source(
+            net.add_route(
                 flow,
                 CbrSource::new(flow, PKT, 80_000.0, 0.0, 20.0),
-                SourceConfig::open_loop(leaf),
+                Route::single(leaf, None, 0.0),
             );
         }
-        sim.run(30.0);
-        sim.stats
+        net.run(30.0);
+        net.stats
             .trace(0)
             .iter()
             .map(|r| r.delay())

@@ -6,7 +6,7 @@
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
-use hpfq::sim::{Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, TraceSource};
 use hpfq_analysis::service_curve_from_records;
 use hpfq_sim::SmallRng;
 
@@ -88,17 +88,18 @@ fn packet_service_tracks_fluid_service() {
         let fluid_res = FluidSim::run(&mirror.fluid, LINK, &fluid_arr);
 
         // Packet run.
-        let mut sim = Simulation::new(mirror.h);
+        let mut net = Network::new();
+        net.add_link(mirror.h);
         for (i, times) in arrivals_per_leaf.iter().enumerate() {
             let flow = i as u32;
-            sim.stats.trace_flow(flow);
-            sim.add_source(
+            net.stats.trace_flow(flow);
+            net.add_route(
                 flow,
                 TraceSource::new(flow, times.iter().map(|&t| (t, PKT)).collect()),
-                SourceConfig::open_loop(mirror.leaves[i].0),
+                Route::single(mirror.leaves[i].0, None, 0.0),
             );
         }
-        sim.run(1000.0);
+        net.run(1000.0);
 
         // Compare cumulative service curves on a time grid.
         let horizon = fluid_res.end_time;
@@ -107,7 +108,7 @@ fn packet_service_tracks_fluid_service() {
         // lag summed over two levels — comfortably under 4 packets here.
         let tol = 4.0 * pkt_bits;
         for (i, &(_, fleaf)) in mirror.leaves.iter().enumerate() {
-            let curve = service_curve_from_records(sim.stats.trace(i as u32).iter());
+            let curve = service_curve_from_records(net.stats.trace(i as u32).iter());
             let fcurve = &fluid_res.service[fleaf.0];
             let mut t = 0.0;
             while t <= horizon {
@@ -141,25 +142,26 @@ fn sibling_shares_respected_under_flooding() {
     let a1 = bld.add_leaf(a, 0.7).unwrap();
     let a2 = bld.add_leaf(a, 0.3).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for flow in 0..3u32 {
-        sim.stats.trace_flow(flow);
+        net.stats.trace_flow(flow);
     }
     let deep: Vec<(f64, u32)> = (0..2000).map(|_| (0.0, PKT)).collect();
-    sim.add_source(
+    net.add_route(
         0,
         TraceSource::new(0, deep.clone()),
-        SourceConfig::open_loop(a1),
+        Route::single(a1, None, 0.0),
     );
-    sim.add_source(
+    net.add_route(
         1,
         TraceSource::new(1, deep.clone()),
-        SourceConfig::open_loop(a2),
+        Route::single(a2, None, 0.0),
     );
-    sim.add_source(2, TraceSource::new(2, deep), SourceConfig::open_loop(b));
-    sim.run(4.0);
+    net.add_route(2, TraceSource::new(2, deep), Route::single(b, None, 0.0));
+    net.run(4.0);
 
-    let bw = |flow: u32| hpfq_analysis::measures::bandwidth_over(sim.stats.trace(flow), 0.5, 3.5);
+    let bw = |flow: u32| hpfq_analysis::measures::bandwidth_over(net.stats.trace(flow), 0.5, 3.5);
     assert!((bw(0) / LINK - 0.35).abs() < 0.01, "a1 {}", bw(0));
     assert!((bw(1) / LINK - 0.15).abs() < 0.01, "a2 {}", bw(1));
     assert!((bw(2) / LINK - 0.50).abs() < 0.01, "b {}", bw(2));

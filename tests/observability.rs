@@ -24,13 +24,13 @@ fn fig3_run_reports_zero_invariant_violations() {
             7,
             InvariantObserver::new(),
         );
-        f.sim.run(2.0);
+        f.net.run(2.0);
         assert!(
-            f.sim.stats.total_packets > 500,
+            f.net.stats.total_packets > 500,
             "{}: too little traffic",
             kind.name()
         );
-        let inv = f.sim.observer();
+        let inv = f.net.observer_of(0);
         assert!(
             inv.events_checked > 1_000,
             "{}: observer saw {} events",
@@ -52,12 +52,12 @@ fn jsonl_trace_round_trips_and_rebuilds_service_records() {
         3,
         JsonlObserver::new(Vec::new()),
     );
-    f.sim.run(1.0);
-    let live_rt1: Vec<ServiceRecord> = f.sim.stats.trace(FLOW_RT1).to_vec();
-    let total_packets = f.sim.stats.total_packets;
+    f.net.run(1.0);
+    let live_rt1: Vec<ServiceRecord> = f.net.stats.trace(FLOW_RT1).to_vec();
+    let total_packets = f.net.stats.total_packets;
     assert!(!live_rt1.is_empty());
 
-    let obs = f.sim.into_observer();
+    let obs = f.net.into_observers().remove(0);
     assert_eq!(obs.write_errors, 0);
     let text = String::from_utf8(obs.into_inner()).unwrap();
     let (events, skipped) = parse_trace(&text);
@@ -99,13 +99,13 @@ fn tupled_metrics_and_invariants_agree_with_sim_stats() {
         11,
         (InvariantObserver::new(), MetricsObserver::new()),
     );
-    f.sim.run(1.5);
-    let (inv, metrics) = f.sim.observer();
+    f.net.run(1.5);
+    let (inv, metrics) = f.net.observer_of(0);
     assert!(inv.is_clean(), "{}", inv.summary());
-    assert_eq!(metrics.tx_packets, f.sim.stats.total_packets);
-    assert_eq!(metrics.tx_bytes, f.sim.stats.total_bytes);
+    assert_eq!(metrics.tx_packets, f.net.stats.total_packets);
+    assert_eq!(metrics.tx_bytes, f.net.stats.total_bytes);
     for flow in [FLOW_RT1, FLOW_BE1] {
-        let live = f.sim.stats.flow(flow);
+        let live = f.net.stats.flow(flow);
         let reg = metrics.flow(flow);
         assert_eq!(reg.packets, live.packets, "flow {flow}");
         assert_eq!(reg.bytes, live.bytes, "flow {flow}");

@@ -103,7 +103,7 @@ fn assert_snapshots_match(seq: &Snapshot, par: &Snapshot, label: &str) {
 
 /// The reduced Fig. 3 workload on one link: N-R → {N-2 → {N-1 → {RT-1,
 /// BE-1}, PS-6, CS-6}, PS-1, CS-1}, five sources, a 30 ms outage, one
-/// finite buffer. Mirrors `network_vs_simulation::fig3ish`.
+/// finite buffer. Mirrors `tests/network.rs::fig3ish`.
 fn fig3_net() -> Network<MixedScheduler, Obs> {
     let kind = SchedulerKind::Wf2qPlus;
     let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
@@ -156,8 +156,8 @@ fn fig3_net() -> Network<MixedScheduler, Obs> {
         PoissonSource::new(16, PKT, 1.14e6, 0.0, f64::INFINITY, 9),
         Route::single(ps6, None, 0.0),
     );
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
+    net.schedule_command(0.9, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+    net.schedule_command(0.93, SimCommand::SetLinkRateOn { link: 0, bps: LINK });
     net
 }
 

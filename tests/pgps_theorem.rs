@@ -11,7 +11,7 @@
 
 use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidSim, FluidTree};
-use hpfq::sim::{Simulation, SmallRng, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, SmallRng, TraceSource};
 
 const LINK: f64 = 1e6;
 
@@ -67,22 +67,23 @@ fn worst_lag_vs_gps(kind: SchedulerKind, seed: u64) -> (f64, f64) {
         .iter()
         .map(|&w| h.add_leaf(root, w / total).unwrap())
         .collect();
-    let mut sim = Simulation::new(h);
+    let mut net = Network::new();
+    net.add_link(h);
     for (i, entries) in flows.iter().enumerate() {
         let flow = i as u32;
-        sim.stats.trace_flow(flow);
-        sim.add_source(
+        net.stats.trace_flow(flow);
+        net.add_route(
             flow,
             TraceSource::new(flow, entries.clone()),
-            SourceConfig::open_loop(leaves[i]),
+            Route::single(leaves[i], None, 0.0),
         );
     }
-    sim.run(1e6);
+    net.run(1e6);
 
     // Pair packets positionally (both systems preserve per-flow FIFO).
     let mut worst = f64::NEG_INFINITY;
     for (i, entries) in flows.iter().enumerate() {
-        let trace = sim.stats.trace(i as u32);
+        let trace = net.stats.trace(i as u32);
         assert_eq!(trace.len(), entries.len(), "flow {i} lost packets");
         for (k, rec) in trace.iter().enumerate() {
             let gps_finish = fluid

@@ -19,13 +19,11 @@
 mod oracle;
 
 use hpfq::core::{
-    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind,
-    SessionId,
+    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId,
 };
 use hpfq::obs::{JsonlObserver, Observer, SharedBuf};
 use hpfq::sim::{
-    CbrSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource, SimCommand, Simulation,
-    SourceConfig,
+    CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, PoissonSource, Route, SimCommand,
 };
 
 const LINK: f64 = 45e6;
@@ -144,7 +142,10 @@ fn drive_lockstep_pair(
 
 #[test]
 fn every_policy_matches_legacy_in_lockstep() {
-    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
+    for kind in SchedulerKind::ALL
+        .into_iter()
+        .filter(|&k| oracle::covers(k))
+    {
         drive_lockstep(kind, 5, 600, 3);
         drive_lockstep(kind, 9, 400, 17);
     }
@@ -181,19 +182,12 @@ fn run_fig3ish<S: NodeScheduler>(
 ) -> (String, Vec<String>) {
     let buf = SharedBuf::new();
     let (h, leaves) = fig3ish(JsonlObserver::new(buf.clone()), node);
-    let mut sim = Simulation::new(h);
-    sim.stats.trace_flow(1);
+    let mut net = Network::new();
+    net.add_link(h);
+    net.stats.trace_flow(1);
     let mut attach =
         |flow: u32, src: Box<dyn hpfq::sim::Source>, leaf: usize, buffer: Option<u64>| {
-            sim.add_source(
-                flow,
-                src,
-                SourceConfig {
-                    leaf: leaves[leaf],
-                    buffer_bytes: buffer,
-                    delivery_delay: 0.0,
-                },
-            );
+            net.add_route(flow, src, Route::single(leaves[leaf], buffer, 0.0));
         };
     attach(
         1,
@@ -244,25 +238,28 @@ fn run_fig3ish<S: NodeScheduler>(
     );
     // A 30 ms outage and mid-run flow churn exercise the epoch/credit and
     // detach machinery on both backends.
-    sim.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    sim.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
-    sim.schedule_command(1.2, SimCommand::RemoveFlow(16));
-    sim.run(horizon);
-    sim.verify_conservation().unwrap();
+    net.schedule_command(0.9, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+    net.schedule_command(0.93, SimCommand::SetLinkRateOn { link: 0, bps: LINK });
+    net.schedule_command(1.2, SimCommand::RemoveFlow(16));
+    net.run(horizon);
+    net.verify_conservation().unwrap();
     let mut stats = vec![format!(
         "total {} {} {}",
-        sim.stats.total_bytes, sim.stats.total_packets, sim.stats.last_departure
+        net.stats.total_bytes, net.stats.total_packets, net.stats.last_departure
     )];
     for flow in [1u32, 2, 11, 31, 16] {
-        stats.push(format!("flow {flow} {:?}", sim.stats.flow(flow)));
+        stats.push(format!("flow {flow} {:?}", net.stats.flow(flow)));
     }
-    stats.push(format!("records {:?}", sim.stats.trace(1)));
+    stats.push(format!("records {:?}", net.stats.trace(1)));
     (buf.contents(), stats)
 }
 
 #[test]
 fn fig3_trace_is_byte_identical_for_every_policy() {
-    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
+    for kind in SchedulerKind::ALL
+        .into_iter()
+        .filter(|&k| oracle::covers(k))
+    {
         let (trace_p, stats_p) = run_fig3ish(move |r| kind.build(r), 1.6);
         let (trace_l, stats_l) = run_fig3ish(move |r| oracle::build(kind, r), 1.6);
         assert!(
@@ -320,7 +317,10 @@ fn run_logged(
 #[test]
 fn pifo_snapshot_resume_matches_legacy_straight_run() {
     const N: usize = 6;
-    for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
+    for kind in SchedulerKind::ALL
+        .into_iter()
+        .filter(|&k| oracle::covers(k))
+    {
         let mut legacy = oracle::build(kind, 1e6);
         let mut pifo = kind.build(1e6);
         for _ in 0..N {
@@ -546,7 +546,10 @@ mod random_differential {
     /// (policies that have one — rr is PIFO-native).
     #[test]
     fn random_schedules_agree_for_every_policy() {
-        for kind in SchedulerKind::ALL.into_iter().filter(|&k| oracle::covers(k)) {
+        for kind in SchedulerKind::ALL
+            .into_iter()
+            .filter(|&k| oracle::covers(k))
+        {
             for case in 0..24u64 {
                 drive_random_schedule(
                     kind,
@@ -566,13 +569,7 @@ mod random_differential {
     fn random_schedules_agree_across_backends() {
         for kind in SchedulerKind::ALL {
             for case in 0..24u64 {
-                drive_random_schedule(
-                    kind,
-                    "calendar",
-                    case,
-                    calendar(kind, 1e6),
-                    kind.build(1e6),
-                );
+                drive_random_schedule(kind, "calendar", case, calendar(kind, 1e6), kind.build(1e6));
             }
         }
     }
@@ -587,39 +584,31 @@ mod random_differential {
     ) -> String {
         let buf = SharedBuf::new();
         let (h, leaves) = fig3ish(JsonlObserver::new(buf.clone()), node);
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut net = Network::new();
+        net.add_link(h);
+        net.add_route(
             1,
             CbrSource::new(1, PKT, 9e6, 0.0, f64::INFINITY),
-            SourceConfig {
-                leaf: leaves[0],
-                buffer_bytes: None,
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[0], None, 0.0),
         );
-        sim.add_source(
+        net.add_route(
             2,
             PoissonSource::new(2, PKT, 6e6, 0.0, f64::INFINITY, 5),
-            SourceConfig {
-                leaf: leaves[1],
-                buffer_bytes: Some(2 * u64::from(PKT)),
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[1], Some(2 * u64::from(PKT)), 0.0),
         );
-        sim.add_source(
+        net.add_route(
             3,
             CbrSource::new(3, PKT, 3e6, 0.1, f64::INFINITY),
-            SourceConfig {
-                leaf: leaves[4],
-                buffer_bytes: None,
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[4], None, 0.0),
         );
-        sim.schedule_command(out_start, SimCommand::SetLinkRate(0.0));
-        sim.schedule_command(out_start + out_len, SimCommand::SetLinkRate(LINK));
-        sim.schedule_command(churn_at, SimCommand::RemoveFlow(3));
-        sim.run(1.5);
-        sim.verify_conservation().unwrap();
+        net.schedule_command(out_start, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+        net.schedule_command(
+            out_start + out_len,
+            SimCommand::SetLinkRateOn { link: 0, bps: LINK },
+        );
+        net.schedule_command(churn_at, SimCommand::RemoveFlow(3));
+        net.run(1.5);
+        net.verify_conservation().unwrap();
         buf.contents()
     }
 

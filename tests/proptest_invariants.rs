@@ -17,15 +17,10 @@ use hpfq::core::eligible::{
     calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, BruteForceEligibleSet,
     EligibleSet, PifoBackend,
 };
-use hpfq::core::{
-    Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId,
-};
+use hpfq::core::{Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
-use hpfq::sim::{
-    CbrSource, Hop, Network, PoissonSource, Route, SimCommand, Simulation, SmallRng, SourceConfig,
-    TraceSource,
-};
+use hpfq::sim::{CbrSource, Hop, Network, PoissonSource, Route, SimCommand, SmallRng, TraceSource};
 
 // ---------------------------------------------------------------------------
 // Eligible sets: both O(log N) structures behave exactly like the O(N)
@@ -259,8 +254,7 @@ fn calendar_serialization_is_history_independent() {
                         // open entries, quantized so ties are common.
                         let elig = (rng.gen_range_u32(0, 3) > 0)
                             .then(|| thr + 0.5 * rng.gen_range_usize(0, 12) as f64);
-                        let primary =
-                            elig.unwrap_or(thr) + 0.5 * rng.gen_range_usize(1, 12) as f64;
+                        let primary = elig.unwrap_or(thr) + 0.5 * rng.gen_range_usize(1, 12) as f64;
                         let secondary = rng.gen_range_usize(0, 4) as f64;
                         cal.insert_ranked(SessionId(id), elig, primary, secondary);
                         live.insert(id, (elig, primary, secondary));
@@ -342,11 +336,12 @@ fn wf2q_plus_bwfi_theorem_holds() {
             .iter()
             .map(|s| h.add_leaf(root, s.weight / total_w).unwrap())
             .collect();
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         let mut arrivals_per_flow: Vec<Vec<(f64, f64)>> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
             let flow = i as u32;
-            sim.stats.trace_flow(flow);
+            net.stats.trace_flow(flow);
             let mut entries: Vec<(f64, u32)> = Vec::new();
             for &(t0, n) in &spec.bursts {
                 for k in 0..n {
@@ -360,22 +355,22 @@ fn wf2q_plus_bwfi_theorem_holds() {
                     .map(|&(t, l)| (t, f64::from(l) * 8.0))
                     .collect(),
             );
-            sim.add_source(
+            net.add_route(
                 flow,
                 TraceSource::new(flow, entries),
-                SourceConfig::open_loop(leaves[i]),
+                Route::single(leaves[i], None, 0.0),
             );
         }
-        sim.run(10_000.0);
+        net.run(10_000.0);
 
         // Server curve = union of all service records.
         let all: Vec<_> = (0..specs.len() as u32)
-            .flat_map(|f| sim.stats.trace(f).iter().copied())
+            .flat_map(|f| net.stats.trace(f).iter().copied())
             .collect();
         let w_server = service_curve_from_records(all.iter());
         for (i, spec) in specs.iter().enumerate() {
             let flow = i as u32;
-            let w_i = service_curve_from_records(sim.stats.trace(flow).iter());
+            let w_i = service_curve_from_records(net.stats.trace(flow).iter());
             let share = spec.weight / total_w;
             let measured = empirical_bwfi(&arrivals_per_flow[i], &w_i, &w_server, share);
             // All packets are equal-length, so Theorem 4 gives alpha =
@@ -512,7 +507,8 @@ fn hierarchy_conserves_packets() {
             .iter()
             .map(|&w| h.add_leaf(root, w / total).unwrap())
             .collect();
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         let mut per_flow: Vec<Vec<(f64, u32)>> = vec![Vec::new(); leaves.len()];
         for &(li, t, n) in &bursts {
             let li = li % leaves.len();
@@ -525,17 +521,17 @@ fn hierarchy_conserves_packets() {
             entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             expected += entries.len();
             let flow = i as u32;
-            sim.stats.trace_flow(flow);
-            sim.add_source(
+            net.stats.trace_flow(flow);
+            net.add_route(
                 flow,
                 TraceSource::new(flow, entries.clone()),
-                SourceConfig::open_loop(leaves[i]),
+                Route::single(leaves[i], None, 0.0),
             );
         }
-        sim.run(1e6);
+        net.run(1e6);
         let mut got = 0usize;
         for flow in 0..leaves.len() as u32 {
-            let tr = sim.stats.trace(flow);
+            let tr = net.stats.trace(flow);
             got += tr.len();
             for w in tr.windows(2) {
                 assert!(w[1].id > w[0].id, "case {case}: per-flow FIFO violated");
@@ -568,16 +564,17 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     let l0 = bld.add_leaf(class, 0.6).unwrap();
     let l1 = bld.add_leaf(class, 0.4).unwrap();
     let l2 = bld.add_leaf(root, 0.3).unwrap();
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for (i, (leaf, rate)) in [(l0, 0.45e6), (l1, 0.30e6), (l2, 0.50e6)]
         .into_iter()
         .enumerate()
     {
         let flow = i as u32;
-        sim.add_source(
+        net.add_route(
             flow,
             CbrSource::new(flow, 500, rate, 0.0, 18.0),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
 
@@ -596,7 +593,7 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
             let flow = next_flow;
             next_flow += 1;
             live.push(flow);
-            sim.schedule_command(
+            net.schedule_command(
                 t,
                 SimCommand::AddFlow {
                     parent: root,
@@ -609,7 +606,7 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
             );
         } else {
             let idx = rng.gen_range_usize(0, live.len());
-            sim.schedule_command(t, SimCommand::RemoveFlow(live.swap_remove(idx)));
+            net.schedule_command(t, SimCommand::RemoveFlow(live.swap_remove(idx)));
         }
         boundaries.push(t);
     }
@@ -619,8 +616,8 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     // Run in segments so the share checks observe the state right after
     // each churn command fires, not just the final configuration.
     for &t in &boundaries {
-        sim.run(t);
-        let h = sim.server();
+        net.run(t);
+        let h = net.link_server(0);
         for n in 0..h.node_count() {
             let node = NodeId(n);
             if h.is_detached(node) {
@@ -639,14 +636,14 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     }
 
     assert!(
-        sim.command_errors.is_empty(),
+        net.command_errors.is_empty(),
         "seed {seed}: churn commands failed: {:?}",
-        sim.command_errors
+        net.command_errors
     );
-    sim.verify_conservation().unwrap_or_else(|e| {
+    net.verify_conservation().unwrap_or_else(|e| {
         panic!("seed {seed}: conservation broken after churn: {e}");
     });
-    let obs = sim.server().observer();
+    let obs = net.link_server(0).observer();
     assert!(
         obs.is_clean(),
         "seed {seed}: invariant violations under churn: {}",

@@ -197,8 +197,8 @@ fn fig3_net() -> Network<MixedScheduler, Obs> {
         PoissonSource::new(16, PKT, 1.14e6, 0.0, f64::INFINITY, 9),
         Route::single(ps6, None, 0.0),
     );
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
+    net.schedule_command(0.9, SimCommand::SetLinkRateOn { link: 0, bps: 0.0 });
+    net.schedule_command(0.93, SimCommand::SetLinkRateOn { link: 0, bps: LINK });
     net
 }
 

@@ -5,7 +5,7 @@
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::obs::InvariantObserver;
-use hpfq::sim::{CbrSource, Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{CbrSource, Network, Route, TraceSource};
 use std::collections::HashMap;
 
 fn two_level(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
@@ -26,23 +26,24 @@ fn two_level(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
 fn saturated_link_transmits_at_capacity_under_every_policy() {
     for kind in SchedulerKind::ALL {
         let (h, leaves) = two_level(kind);
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         for (i, &leaf) in leaves.iter().enumerate() {
             let flow = i as u32;
-            sim.add_source(
+            net.add_route(
                 flow,
                 CbrSource::new(flow, 500, 0.5e6, 0.0, 100.0), // 4x oversubscribed
-                SourceConfig::open_loop(leaf),
+                Route::single(leaf, None, 0.0),
             );
         }
-        sim.run(10.0);
+        net.run(10.0);
         // 10 s at 1 Mbit/s = 1.25e6 bytes; allow sub-packet slack at both
         // ends.
         assert!(
-            sim.stats.total_bytes >= 1_248_000,
+            net.stats.total_bytes >= 1_248_000,
             "{}: only {} bytes in 10 s",
             kind.name(),
-            sim.stats.total_bytes
+            net.stats.total_bytes
         );
     }
 }
@@ -51,11 +52,12 @@ fn saturated_link_transmits_at_capacity_under_every_policy() {
 fn every_packet_transmitted_exactly_once_and_in_flow_order() {
     for kind in SchedulerKind::ALL {
         let (h, leaves) = two_level(kind);
-        let mut sim = Simulation::new(h);
+        let mut net = Network::new();
+        net.add_link(h);
         let mut expected = 0usize;
         for (i, &leaf) in leaves.iter().enumerate() {
             let flow = i as u32;
-            sim.stats.trace_flow(flow);
+            net.stats.trace_flow(flow);
             // A finite trace: bursts + trailing trickle.
             let mut entries: Vec<(f64, u32)> = Vec::new();
             for k in 0..30 {
@@ -65,17 +67,17 @@ fn every_packet_transmitted_exactly_once_and_in_flow_order() {
                 entries.push((1.0 + 0.05 * k as f64, 600));
             }
             expected += entries.len();
-            sim.add_source(
+            net.add_route(
                 flow,
                 TraceSource::new(flow, entries),
-                SourceConfig::open_loop(leaf),
+                Route::single(leaf, None, 0.0),
             );
         }
-        sim.run(1000.0);
+        net.run(1000.0);
         let mut seen: HashMap<u64, u32> = HashMap::new();
         let mut total = 0usize;
         for flow in 0..leaves.len() as u32 {
-            let trace = sim.stats.trace(flow);
+            let trace = net.stats.trace(flow);
             total += trace.len();
             let mut last_id = None;
             for rec in trace {
@@ -117,25 +119,26 @@ fn transmissions_do_not_overlap() {
         bld.add_leaf(b, 0.25).unwrap(),
         bld.add_leaf(b, 0.75).unwrap(),
     ];
-    let mut sim = Simulation::new(bld.build());
+    let mut net = Network::new();
+    net.add_link(bld.build());
     for (i, &leaf) in leaves.iter().enumerate() {
         let flow = i as u32;
-        sim.stats.trace_flow(flow);
-        sim.add_source(
+        net.stats.trace_flow(flow);
+        net.add_route(
             flow,
             CbrSource::new(flow, 700, 0.4e6, 0.0, 5.0),
-            SourceConfig::open_loop(leaf),
+            Route::single(leaf, None, 0.0),
         );
     }
-    sim.run(20.0);
+    net.run(20.0);
     let mut intervals: Vec<(f64, f64)> = (0..leaves.len() as u32)
-        .flat_map(|f| sim.stats.trace(f).iter().map(|r| (r.start, r.end)))
+        .flat_map(|f| net.stats.trace(f).iter().map(|r| (r.start, r.end)))
         .collect();
     intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
     for w in intervals.windows(2) {
         assert!(w[1].0 >= w[0].1 - 1e-9, "overlapping transmissions: {w:?}");
     }
-    let inv = sim.observer();
+    let inv = net.observer_of(0);
     assert!(inv.events_checked > 0);
     assert!(inv.is_clean(), "{}", inv.summary());
 }
