@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 
 use hpfq_core::NodeScheduler;
 use hpfq_events::Engine;
-use hpfq_obs::snap::Value;
+use hpfq_obs::snap::{SnapError, Value};
 use hpfq_obs::{EpochSpan, Observer, SpanKind, SpanProfiler};
 
 use crate::network::{FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot};
@@ -216,14 +216,13 @@ impl ParallelReport {
     }
 }
 
-/// One cross-shard message in flight between epochs, tagged for
-/// deterministic inbox ordering.
+/// One cross-shard message in flight between epochs, tagged with its
+/// sender and the sender's running sequence for deterministic inbox
+/// ordering.
 struct Envelope {
-    t: f64,
-    minor: u64,
     sender: usize,
     seq: usize,
-    ev: NetEvent,
+    msg: OutMsg,
 }
 
 /// How a worker's stint ended (identical across workers: every variant is
@@ -237,6 +236,19 @@ enum StintEnd {
     /// Some shard's escalation ladder halted; the supervisor must roll
     /// back and replay the tail sequentially.
     Halted,
+}
+
+/// What [`Network::commit_stint`] decided for a finished stint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StintCommit {
+    /// The stint stands; the run may go on.
+    Continue,
+    /// The stint was rolled back and the tail replayed sequentially to
+    /// its exact halt.
+    Replayed,
+    /// The run halted where it stands (injector desync, or a halt with
+    /// no checkpoint to replay from).
+    Stop,
 }
 
 /// A successfully completed worker stint.
@@ -362,6 +374,20 @@ impl PhaseBarrier {
     }
 }
 
+/// What [`Network::preflight`] settled for a sharded run.
+struct ShardPlan {
+    shards: usize,
+    link_shard: std::sync::Arc<Vec<usize>>,
+    lookahead: f64,
+    /// The entry checkpoint (`None` when the network cannot be
+    /// snapshotted and the policy cannot halt).
+    checkpoint: Option<Value>,
+    /// The first stint's injector children (`None` without an injector).
+    children: Option<Vec<Box<dyn FaultInjector>>>,
+    /// The report so far: shards, lookahead, the entry checkpoint.
+    report: ParallelReport,
+}
+
 impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// Runs the simulation to `horizon` on up to `shards` worker threads,
     /// producing results byte-identical to [`Network::run`]`(horizon)`.
@@ -374,48 +400,11 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// exact. Falls back to the sequential loop (and reports why) when
     /// the configuration cannot be sharded conservatively.
     pub fn run_parallel(&mut self, horizon: f64, shards: usize) -> ParallelReport {
-        let requested = shards.clamp(1, self.links.len().max(1));
-        if requested < 2 || self.links.len() < 2 {
-            self.run(horizon);
-            return ParallelReport::sequential(FallbackReason::SingleShard);
-        }
-        if self.halted {
-            return ParallelReport::new(requested);
-        }
-
-        // Round-robin link → shard assignment: deterministic, and
-        // balanced for the homogeneous-link topologies we shard.
-        let link_shard: std::sync::Arc<Vec<usize>> =
-            std::sync::Arc::new((0..self.links.len()).map(|i| i % requested).collect());
-        let lookahead = self.lookahead_of(&link_shard);
-        if lookahead <= 0.0 {
-            self.run(horizon);
-            return ParallelReport::sequential(FallbackReason::ZeroLookahead);
-        }
-
-        // Sources not yet started emit their first timers here, on the
-        // master, exactly as a sequential run would.
-        self.start_pending_sources();
-
-        // A halt-capable policy needs the rollback-and-replay path for
-        // exact halt semantics, which needs a checkpoint; everyone else
-        // degrades to uncontained sharding when snapshots are impossible
-        // (e.g. a custom source without checkpoint support).
-        let can_halt = self.policy.halt_after != u32::MAX;
-        let mut checkpoint = match self.snapshot() {
-            Ok(v) => Some(v),
-            Err(_) if can_halt => {
-                self.run(horizon);
-                return ParallelReport::sequential(FallbackReason::Uncheckpointable);
-            }
-            Err(_) => None,
+        let mut plan = match self.preflight(horizon, shards, None) {
+            Ok(plan) => plan,
+            Err(report) => return report,
         };
-
-        let mut report = ParallelReport::new(requested);
-        report.lookahead = lookahead;
-        if checkpoint.is_some() {
-            report.checkpoints = 1;
-        }
+        let (requested, lookahead) = (plan.shards, plan.lookahead);
         let stint_epochs = if self.stint_epochs == 0 {
             u64::MAX
         } else {
@@ -423,6 +412,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         };
         let watchdog = self.watchdog;
 
+        let mut first_children = Some(plan.children.take());
         let mut total_epochs = 0u64;
         let mut attempt = 0u32;
         'stints: loop {
@@ -441,35 +431,30 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 }
             };
 
-            // Fork the injector's per-shard children (re-forked each
-            // stint from the absorbed parent, so streams are continuous).
-            let children = match self.fork_children(&link_shard, requested) {
-                Ok(c) => c,
-                Err(()) if epoch_base == 0 && report.rollbacks == 0 => {
-                    self.run(horizon);
-                    return ParallelReport::sequential(FallbackReason::InjectorUnsplittable);
-                }
-                Err(()) => {
-                    // The injector split before but refuses now: its
-                    // state is suspect. Contained, typed halt.
-                    self.escalation.mark_halted();
-                    self.halted = true;
-                    report.failures.push(ShardFailure::InjectorDesync {
-                        shard: 0,
-                        detail: "fork_shard refused mid-run".to_string(),
-                    });
-                    break 'stints;
-                }
+            // The first stint uses the children forked at entry; every
+            // later stint (and every retry) re-forks from the absorbed or
+            // restored parent, so streams are continuous.
+            let children = match first_children.take() {
+                Some(c) => c,
+                None => match self.fork_children(&plan.link_shard, requested) {
+                    Ok(c) => c,
+                    Err(()) => {
+                        // The injector split before but refuses now: its
+                        // state is suspect. Contained, typed halt.
+                        self.escalation.mark_halted();
+                        self.halted = true;
+                        plan.report.failures.push(ShardFailure::InjectorDesync {
+                            shard: 0,
+                            detail: "fork_shard refused mid-run".to_string(),
+                        });
+                        break 'stints;
+                    }
+                },
             };
 
             let pre_epoch_log = self.epoch_log.len();
             let base_sources = self.sources.len();
-            let mut workers = self.split(&link_shard, requested);
-            if let Some(children) = children {
-                for (w, c) in workers.iter_mut().zip(children) {
-                    w.injector = Some(c);
-                }
-            }
+            let mut workers = self.split(&plan.link_shard, requested, children);
             // The injected-panic test hook fires on first attempts only:
             // the retry then proves the rollback path end to end.
             if attempt == 0 {
@@ -549,34 +534,28 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     .collect()
             });
 
-            // Reclaim the injector children before the merge consumes the
-            // workers; their states are absorbed only if the stint
-            // commits.
-            let mut child_states: Vec<(usize, Result<Value, hpfq_obs::SnapError>)> = Vec::new();
-            for (sid, w) in workers.iter_mut().enumerate() {
-                if let Some(c) = w.injector.take() {
-                    child_states.push((sid, c.save_state()));
+            let child_states = self.merge(workers, &plan.link_shard, base_sources);
+
+            // Lock-step protocol: every worker that finished ran the same
+            // epochs, so any one result speaks for the stint.
+            let mut stint = None;
+            let mut failures = Vec::new();
+            for r in results {
+                match r {
+                    Ok(s) => stint = stint.or(Some(s)),
+                    Err(f) => failures.push(f),
                 }
             }
-            if SpanProfiler::ENABLED {
-                self.profiler.span_enter(SpanKind::Merge);
-            }
-            self.merge(workers, &link_shard, base_sources);
-            if SpanProfiler::ENABLED {
-                self.profiler.span_exit(SpanKind::Merge);
-            }
-
-            let failures: Vec<ShardFailure> =
-                results.iter().filter_map(|r| r.clone().err()).collect();
-            if !failures.is_empty() {
-                report.failures.extend(failures);
-                let restorable = checkpoint
+            let Some(stint) = stint.filter(|_| failures.is_empty()) else {
+                plan.report.failures.extend(failures);
+                let restorable = plan
+                    .checkpoint
                     .as_ref()
                     .map(|cp| (attempt < STINT_RETRY_BUDGET, cp.clone()));
                 if let Some((retry, cp)) = restorable {
                     if self.restore(&cp).is_ok() {
                         self.epoch_log.truncate(pre_epoch_log);
-                        report.rollbacks += 1;
+                        plan.report.rollbacks += 1;
                         if retry {
                             attempt += 1;
                             continue 'stints;
@@ -588,96 +567,36 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 self.escalation.mark_halted();
                 self.halted = true;
                 break 'stints;
-            }
-
-            // The stint committed: fold the injector children's advanced
-            // streams back into the parent.
-            if self.injector.is_some() {
-                let mut desync = None;
-                for (sid, st) in child_states {
-                    let folded = match st {
-                        Ok(v) => self
-                            .injector
-                            .as_mut()
-                            .map(|inj| inj.absorb_shard(&v))
-                            .unwrap_or(Ok(())),
-                        Err(e) => Err(e),
-                    };
-                    if let Err(e) = folded {
-                        desync = Some(ShardFailure::InjectorDesync {
-                            shard: sid,
-                            detail: e.what,
-                        });
-                        break;
-                    }
-                }
-                if let Some(f) = desync {
-                    report.failures.push(f);
-                    self.escalation.mark_halted();
-                    self.halted = true;
-                    break 'stints;
-                }
-            }
+            };
 
             attempt = 0;
-            // Lock-step protocol: every worker ran the same epochs.
-            let stint = match results[0] {
-                Ok(s) => s,
-                // lint:allow(L002): any Err took the retry/abort branch
-                // above and either continued the loop or broke out of it;
-                // reaching this match means every result is Ok.
-                Err(_) => unreachable!("failures handled above"),
-            };
             total_epochs += stint.epochs;
-
-            // Halt semantics: if any shard's ladder halted, or the merged
-            // quarantine roster crossed the policy threshold no single
-            // shard could see, discard the stint and replay it
-            // sequentially from the checkpoint — the sequential loop
-            // stops at the exact halting event.
-            let union_crossed = can_halt
-                && self.escalation.quarantined_flows().len() as u64
-                    >= u64::from(self.policy.halt_after);
-            if stint.end == StintEnd::Halted || self.escalation.is_halted() || union_crossed {
-                // `can_halt` guaranteed a checkpoint at entry; a ladder
-                // halt is impossible otherwise.
-                // lint:allow(L002): checkpoint existence is implied by
-                // the Uncheckpointable fallback taken at entry for every
-                // halt-capable policy.
-                let cp = checkpoint.as_ref().expect("halt implies a checkpoint");
-                if self.restore(cp).is_ok() {
-                    self.epoch_log.truncate(pre_epoch_log);
-                    total_epochs = epoch_base;
-                    report.halt_replayed = true;
-                    self.run(horizon);
-                } else {
-                    // No way back: surface the halt where we stand.
-                    self.escalation.mark_halted();
-                    self.halted = true;
+            let halted = stint.end == StintEnd::Halted;
+            match self.commit_stint(&mut plan, child_states, halted, pre_epoch_log, horizon) {
+                StintCommit::Replayed => total_epochs = epoch_base,
+                StintCommit::Continue if stint.end == StintEnd::CheckpointDue => {
+                    // Refresh the checkpoint at the committed stint
+                    // boundary; on failure keep the previous one (rolling
+                    // back further is slower but still byte-identical).
+                    if plan.checkpoint.is_some() {
+                        if let Ok(v) = self.snapshot() {
+                            plan.checkpoint = Some(v);
+                            plan.report.checkpoints += 1;
+                        }
+                    }
+                    continue 'stints;
                 }
-                break 'stints;
+                StintCommit::Continue | StintCommit::Stop => {}
             }
-
-            if stint.end == StintEnd::Finished {
-                break 'stints;
-            }
-            // Refresh the checkpoint at the committed stint boundary; on
-            // failure keep the previous one (rolling back further is
-            // slower but still byte-identical).
-            if checkpoint.is_some() {
-                if let Ok(v) = self.snapshot() {
-                    checkpoint = Some(v);
-                    report.checkpoints += 1;
-                }
-            }
+            break 'stints;
         }
 
         // Keep the final checkpoint around for post-mortems: on a halt or
         // an exhausted retry budget this is the exact state to resume
         // from, and harnesses hand its bytes to the flight recorder.
-        self.last_checkpoint = checkpoint;
-        report.epochs = total_epochs;
-        report
+        self.last_checkpoint = plan.checkpoint;
+        plan.report.epochs = total_epochs;
+        plan.report
     }
 
     /// Replays the conservative-epoch protocol **single-threaded** under
@@ -699,11 +618,12 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// therefore checked every commit schedule the barrier protocol can
     /// produce.
     ///
-    /// Shards injectors and replays halts exactly like
-    /// [`Network::run_parallel`] (fork/absorb children, rollback and
-    /// sequential tail replay from the entry checkpoint); being
-    /// single-threaded it needs no panic containment. Falls back exactly
-    /// like [`Network::run_parallel`], plus
+    /// The epoch drain, outbox post, inbox sort, injector fork/absorb,
+    /// merge and halt replay are the very functions the threaded runtime
+    /// runs; only the barriers are replaced by the two loops over
+    /// `order`. Being single-threaded it runs one unbounded stint from
+    /// the entry checkpoint and needs no panic containment. Falls back
+    /// exactly like [`Network::run_parallel`], plus
     /// [`FallbackReason::InvalidOrders`] when `orders` is empty or an
     /// entry is not a permutation of `0..shards`.
     pub fn run_permuted(
@@ -712,70 +632,19 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         shards: usize,
         orders: &[Vec<usize>],
     ) -> ParallelReport {
-        let requested = shards.clamp(1, self.links.len().max(1));
-        if requested < 2 || self.links.len() < 2 {
-            self.run(horizon);
-            return ParallelReport::sequential(FallbackReason::SingleShard);
-        }
-        let is_perm = |o: &Vec<usize>| {
-            let mut seen = vec![false; requested];
-            o.len() == requested
-                && o.iter()
-                    .all(|&s| s < requested && !std::mem::replace(&mut seen[s], true))
+        let mut plan = match self.preflight(horizon, shards, Some(orders)) {
+            Ok(plan) => plan,
+            Err(report) => return report,
         };
-        if orders.is_empty() || !orders.iter().all(is_perm) {
-            self.run(horizon);
-            return ParallelReport::sequential(FallbackReason::InvalidOrders);
-        }
-        if self.halted {
-            return ParallelReport::new(requested);
-        }
-
-        let link_shard: std::sync::Arc<Vec<usize>> =
-            std::sync::Arc::new((0..self.links.len()).map(|i| i % requested).collect());
-        let lookahead = self.lookahead_of(&link_shard);
-        if lookahead <= 0.0 {
-            self.run(horizon);
-            return ParallelReport::sequential(FallbackReason::ZeroLookahead);
-        }
-        self.start_pending_sources();
-
-        let can_halt = self.policy.halt_after != u32::MAX;
-        let checkpoint = match self.snapshot() {
-            Ok(v) => Some(v),
-            Err(_) if can_halt => {
-                self.run(horizon);
-                return ParallelReport::sequential(FallbackReason::Uncheckpointable);
-            }
-            Err(_) => None,
-        };
-        let children = match self.fork_children(&link_shard, requested) {
-            Ok(c) => c,
-            Err(()) => {
-                self.run(horizon);
-                return ParallelReport::sequential(FallbackReason::InjectorUnsplittable);
-            }
-        };
-
-        let mut report = ParallelReport::new(requested);
-        report.lookahead = lookahead;
-        if checkpoint.is_some() {
-            report.checkpoints = 1;
-        }
+        let (requested, lookahead) = (plan.shards, plan.lookahead);
         let pre_epoch_log = self.epoch_log.len();
         let base_sources = self.sources.len();
-        let mut workers = self.split(&link_shard, requested);
-        if let Some(children) = children {
-            for (w, c) in workers.iter_mut().zip(children) {
-                w.injector = Some(c);
-            }
-        }
-        let start = self.engine.now();
+        let mut workers = self.split(&plan.link_shard, requested, plan.children.take());
 
         let mut mailboxes: Vec<Vec<Envelope>> = (0..requested).map(|_| Vec::new()).collect();
         let mut next_times = vec![0.0f64; requested];
         let mut send_seq = vec![0usize; requested];
-        let mut t_start = start;
+        let mut t_start = self.engine.now();
         let mut epochs = 0u64;
         let mut halted = false;
         loop {
@@ -788,125 +657,246 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
             // of the first barrier in `run_shard`.
             for &sid in order {
                 let net = &mut workers[sid];
-                net.engine.advance_to(t_start);
-                let mut handled = 0u64;
-                while !net.halted {
-                    let due = if epoch_end <= horizon {
-                        net.engine.pop_strictly_before(epoch_end)
-                    } else {
-                        net.engine.pop_due(horizon)
-                    };
-                    let Some((t, ev)) = due else { break };
-                    net.handle(t, ev);
-                    handled += 1;
-                }
+                net.drain_epoch(sid, t_start, epoch_end, horizon);
                 halted |= net.halted;
-                if net.record_epochs {
-                    net.epoch_log.push(EpochSpan {
-                        shard: sid,
-                        t0: t_start,
-                        t1: epoch_end.min(horizon),
-                        events: handled,
-                    });
-                }
-                if let Some(ctx) = net.shard.as_mut() {
-                    for OutMsg { dest, t, minor, ev } in ctx.outbox.drain(..) {
-                        send_seq[sid] += 1;
-                        mailboxes[dest].push(Envelope {
-                            t,
-                            minor,
-                            sender: sid,
-                            seq: send_seq[sid],
-                            ev,
-                        });
-                    }
-                }
-            }
-            // Delivery phase: every outbox is committed, so each inbox
-            // is complete — sort it canonically and feed the engine,
-            // then publish each shard's next pending event time (the
-            // sequential analogue of the second barrier).
-            for &sid in order {
-                let mut inbox = std::mem::take(&mut mailboxes[sid]);
-                inbox.sort_by(|a, b| {
-                    a.t.total_cmp(&b.t)
-                        .then(a.minor.cmp(&b.minor))
-                        .then(a.sender.cmp(&b.sender))
-                        .then(a.seq.cmp(&b.seq))
+                net.post_outbox(sid, &mut send_seq[sid], |env| {
+                    mailboxes[env.msg.dest].push(env)
                 });
-                let net = &mut workers[sid];
-                for env in inbox {
-                    net.engine.schedule_keyed(env.t, env.minor, env.ev);
-                }
-                next_times[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);
+            }
+            // Delivery phase: every outbox is committed, so each inbox is
+            // complete (the sequential analogue of the second barrier).
+            for &sid in order {
+                next_times[sid] = workers[sid].deliver_inbox(std::mem::take(&mut mailboxes[sid]));
             }
             if halted {
                 break;
             }
-            let global_next = next_times
-                .iter()
-                .fold(f64::INFINITY, |m, &t| if t < m { t } else { m });
-            if !global_next.is_finite() || global_next > horizon {
-                break;
-            }
-            t_start = global_next;
-        }
-
-        let mut child_states: Vec<(usize, Result<Value, hpfq_obs::SnapError>)> = Vec::new();
-        for (sid, w) in workers.iter_mut().enumerate() {
-            if let Some(c) = w.injector.take() {
-                child_states.push((sid, c.save_state()));
+            match next_epoch_start(&next_times, horizon) {
+                Some(t) => t_start = t,
+                None => break,
             }
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Merge);
+
+        let child_states = self.merge(workers, &plan.link_shard, base_sources);
+        let commit = self.commit_stint(&mut plan, child_states, halted, pre_epoch_log, horizon);
+        if commit == StintCommit::Replayed {
+            epochs = 0;
         }
-        self.merge(workers, &link_shard, base_sources);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Merge);
+        self.last_checkpoint = plan.checkpoint;
+        plan.report.epochs = epochs;
+        plan.report
+    }
+
+    /// The entry protocol shared by [`Network::run_parallel`] and
+    /// [`Network::run_permuted`]: checks every fallback in precedence
+    /// order, starts pending sources, takes the entry checkpoint and forks
+    /// the first stint's injector children. `Err` carries the finished
+    /// report of a run that fell back to (or was already halted before)
+    /// the sequential loop.
+    fn preflight(
+        &mut self,
+        horizon: f64,
+        shards: usize,
+        orders: Option<&[Vec<usize>]>,
+    ) -> Result<ShardPlan, ParallelReport> {
+        let requested = shards.clamp(1, self.links.len().max(1));
+        if requested < 2 || self.links.len() < 2 {
+            return Err(self.fall_back(horizon, FallbackReason::SingleShard));
+        }
+        if let Some(orders) = orders {
+            let is_perm = |o: &Vec<usize>| {
+                let mut seen = vec![false; requested];
+                o.len() == requested
+                    && o.iter()
+                        .all(|&s| s < requested && !std::mem::replace(&mut seen[s], true))
+            };
+            if orders.is_empty() || !orders.iter().all(is_perm) {
+                return Err(self.fall_back(horizon, FallbackReason::InvalidOrders));
+            }
+        }
+        if self.halted {
+            return Err(ParallelReport::new(requested));
         }
 
-        let union_crossed = can_halt
-            && self.escalation.quarantined_flows().len() as u64
-                >= u64::from(self.policy.halt_after);
-        if halted || self.escalation.is_halted() || union_crossed {
-            // lint:allow(L002): checkpoint existence is implied by the
-            // Uncheckpointable fallback taken at entry for every
-            // halt-capable policy.
-            let cp = checkpoint.as_ref().expect("halt implies a checkpoint");
-            if self.restore(cp).is_ok() {
-                self.epoch_log.truncate(pre_epoch_log);
-                epochs = 0;
-                report.halt_replayed = true;
-                self.run(horizon);
+        // Round-robin link → shard assignment: deterministic, and
+        // balanced for the homogeneous-link topologies we shard.
+        let link_shard: std::sync::Arc<Vec<usize>> =
+            std::sync::Arc::new((0..self.links.len()).map(|i| i % requested).collect());
+        let lookahead = self.lookahead_of(&link_shard);
+        if lookahead <= 0.0 {
+            return Err(self.fall_back(horizon, FallbackReason::ZeroLookahead));
+        }
+
+        // Sources not yet started emit their first timers here, on the
+        // master, exactly as a sequential run would.
+        self.start_pending_sources();
+
+        // A halt-capable policy needs the rollback-and-replay path for
+        // exact halt semantics, which needs a checkpoint; everyone else
+        // degrades to uncontained sharding when snapshots are impossible
+        // (e.g. a custom source without checkpoint support).
+        let can_halt = self.policy.halt_after != u32::MAX;
+        let checkpoint = match self.snapshot() {
+            Ok(v) => Some(v),
+            Err(_) if can_halt => {
+                return Err(self.fall_back(horizon, FallbackReason::Uncheckpointable));
+            }
+            Err(_) => None,
+        };
+        let Ok(children) = self.fork_children(&link_shard, requested) else {
+            return Err(self.fall_back(horizon, FallbackReason::InjectorUnsplittable));
+        };
+
+        let mut report = ParallelReport::new(requested);
+        report.lookahead = lookahead;
+        report.checkpoints = u64::from(checkpoint.is_some());
+        Ok(ShardPlan {
+            shards: requested,
+            link_shard,
+            lookahead,
+            checkpoint,
+            children,
+            report,
+        })
+    }
+
+    /// Runs sequentially to `horizon` and reports why.
+    fn fall_back(&mut self, horizon: f64, reason: FallbackReason) -> ParallelReport {
+        self.run(horizon);
+        ParallelReport::sequential(reason)
+    }
+
+    /// One shard's compute phase for the epoch `[t_start, epoch_end)`:
+    /// drains the shard's events due inside the window (and horizon) —
+    /// strictly before the epoch boundary, inclusively at the horizon,
+    /// matching the sequential loop's `pop_due` semantics there — and
+    /// logs the window when epoch recording is on. A ladder halt stops
+    /// the drain immediately, like the sequential loop's `while !halted`.
+    fn drain_epoch(&mut self, sid: usize, t_start: f64, epoch_end: f64, horizon: f64) {
+        self.engine.advance_to(t_start);
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::EpochCompute);
+        }
+        let mut handled = 0u64;
+        while !self.halted {
+            let due = if epoch_end <= horizon {
+                self.engine.pop_strictly_before(epoch_end)
             } else {
-                self.escalation.mark_halted();
-                self.halted = true;
+                self.engine.pop_due(horizon)
+            };
+            let Some((t, ev)) = due else { break };
+            self.handle(t, ev);
+            handled += 1;
+        }
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::EpochCompute);
+        }
+        if self.record_epochs {
+            self.epoch_log.push(EpochSpan {
+                shard: sid,
+                t0: t_start,
+                t1: epoch_end.min(horizon),
+                events: handled,
+            });
+        }
+    }
+
+    /// Posts everything this shard produced for other shards through
+    /// `post(dest, envelope)`. `send_seq` keeps the producing order so
+    /// identical `(t, minor)` envelopes from one sender stay FIFO after
+    /// the inbox sort.
+    fn post_outbox(&mut self, sid: usize, send_seq: &mut usize, mut post: impl FnMut(Envelope)) {
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::Exchange);
+        }
+        if let Some(ctx) = self.shard.as_mut() {
+            for msg in ctx.outbox.drain(..) {
+                *send_seq += 1;
+                let seq = *send_seq;
+                post(Envelope {
+                    sender: sid,
+                    seq,
+                    msg,
+                });
             }
-        } else if self.injector.is_some() {
+        }
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::Exchange);
+        }
+    }
+
+    /// Feeds a complete inbox to the engine in the canonical
+    /// `(t, minor, sender, seq)` order — independent of the order the
+    /// envelopes arrived in — and returns this shard's earliest pending
+    /// event time (`INFINITY` when drained).
+    fn deliver_inbox(&mut self, mut inbox: Vec<Envelope>) -> f64 {
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::Exchange);
+        }
+        inbox.sort_by(|a, b| {
+            (a.msg.t.total_cmp(&b.msg.t))
+                .then(a.msg.minor.cmp(&b.msg.minor))
+                .then((a.sender, a.seq).cmp(&(b.sender, b.seq)))
+        });
+        for Envelope { msg, .. } in inbox {
+            self.engine.schedule_keyed(msg.t, msg.minor, msg.ev);
+        }
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::Exchange);
+        }
+        self.engine.peek_time().unwrap_or(f64::INFINITY)
+    }
+
+    /// Commits a stint whose workers all finished and merged back: folds
+    /// the injector children's advanced streams into the parent, then
+    /// applies halt semantics. A child that cannot be saved or absorbed
+    /// desynchronizes the fault streams: the failure is reported and the
+    /// run halts ([`StintCommit::Stop`]). A halt — some shard's ladder
+    /// halted, or the merged quarantine roster crossed `halt_after`,
+    /// which no single shard could see — discards the stint: the master
+    /// restores the entry or stint checkpoint and replays the tail
+    /// sequentially, stopping at the exact halting event
+    /// ([`StintCommit::Replayed`]). Without a restorable checkpoint (a
+    /// halt-capable policy always has one: the `Uncheckpointable`
+    /// fallback is taken at entry otherwise) the halt is surfaced where
+    /// the run stands.
+    fn commit_stint(
+        &mut self,
+        plan: &mut ShardPlan,
+        child_states: Vec<(usize, Result<Value, SnapError>)>,
+        shard_halted: bool,
+        pre_epoch_log: usize,
+        horizon: f64,
+    ) -> StintCommit {
+        if let Some(inj) = self.injector.as_mut() {
             for (sid, st) in child_states {
-                let folded = match st {
-                    Ok(v) => self
-                        .injector
-                        .as_mut()
-                        .map(|inj| inj.absorb_shard(&v))
-                        .unwrap_or(Ok(())),
-                    Err(e) => Err(e),
-                };
-                if let Err(e) = folded {
-                    report.failures.push(ShardFailure::InjectorDesync {
+                if let Err(e) = st.and_then(|v| inj.absorb_shard(&v)) {
+                    plan.report.failures.push(ShardFailure::InjectorDesync {
                         shard: sid,
                         detail: e.what,
                     });
                     self.escalation.mark_halted();
                     self.halted = true;
-                    break;
+                    return StintCommit::Stop;
                 }
             }
         }
-        self.last_checkpoint = checkpoint;
-        report.epochs = epochs;
-        report
+        let union_crossed = self.policy.halt_after != u32::MAX
+            && self.escalation.quarantined_flows().len() as u64
+                >= u64::from(self.policy.halt_after);
+        if !(shard_halted || self.escalation.is_halted() || union_crossed) {
+            return StintCommit::Continue;
+        }
+        let checkpoint = plan.checkpoint.as_ref();
+        if checkpoint.is_some_and(|cp| self.restore(cp).is_ok()) {
+            self.epoch_log.truncate(pre_epoch_log);
+            plan.report.halt_replayed = true;
+            self.run(horizon);
+            return StintCommit::Replayed;
+        }
+        self.escalation.mark_halted();
+        self.halted = true;
+        StintCommit::Stop
     }
 
     /// Minimum propagation delay over inter-shard edges: consecutive route
@@ -968,8 +958,14 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// shard owning the flow's **last** hop — the single writer of its
     /// service-side fields — so float accumulation stays incremental
     /// across stint boundaries (see [`SimStats::extract_flow`]); the
-    /// master keeps the network totals, which merge back exactly.
-    fn split(&mut self, link_shard: &std::sync::Arc<Vec<usize>>, n: usize) -> Vec<Network<S, O>> {
+    /// master keeps the network totals, which merge back exactly. Shard
+    /// `i` receives `children[i]` as its injector.
+    fn split(
+        &mut self,
+        link_shard: &std::sync::Arc<Vec<usize>>,
+        n: usize,
+        children: Option<Vec<Box<dyn FaultInjector>>>,
+    ) -> Vec<Network<S, O>> {
         let now = self.engine.now();
         let pending = self.engine.drain_ordered();
         let mut workers: Vec<Network<S, O>> = (0..n)
@@ -980,35 +976,25 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 }
                 let mut engine = Engine::new();
                 engine.advance_to(now);
+                // Each worker's fresh profiler times against its own base
+                // Instant; snapshots carry only durations, so merging them
+                // into the master is exact.
                 Network {
-                    links: Vec::new(),
                     engine,
-                    sources: Vec::new(),
                     stats,
                     flow_owner: self.flow_owner.clone(),
-                    injector: None,
                     policy: self.policy,
                     escalation: self.escalation.clone(),
-                    halted: false,
-                    inflight_bytes: 0,
-                    command_errors: Vec::new(),
                     shard: Some(ShardCtx {
                         id: sid,
                         link_shard: std::sync::Arc::clone(link_shard),
                         outbox: Vec::new(),
                     }),
-                    // Each worker times against its own base Instant;
-                    // snapshots carry only durations, so merging them into
-                    // the master is exact.
-                    profiler: SpanProfiler::new(),
                     record_epochs: self.record_epochs,
-                    epoch_log: Vec::new(),
-                    shard_spans: Vec::new(),
                     stint_epochs: self.stint_epochs,
                     watchdog: self.watchdog,
-                    panic_plan: None,
-                    last_checkpoint: None,
                     dispatch_batch: self.dispatch_batch,
+                    ..Network::new()
                 }
             })
             .collect();
@@ -1054,6 +1040,9 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
             let dest = self.event_shard(link_shard, &ev);
             workers[dest].engine.schedule_keyed(t, minor, ev);
         }
+        for (w, c) in workers.iter_mut().zip(children.into_iter().flatten()) {
+            w.injector = Some(c);
+        }
         workers
     }
 
@@ -1070,7 +1059,18 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
 
     /// Reassembles the master from finished shards. Every merge below is
     /// exact — see the field-by-field arguments at the merge sites.
-    fn merge(&mut self, workers: Vec<Network<S, O>>, link_shard: &[usize], base_sources: usize) {
+    /// Returns the shards' injector children as `(shard, saved state)`;
+    /// they are absorbed only if the stint commits.
+    fn merge(
+        &mut self,
+        workers: Vec<Network<S, O>>,
+        link_shard: &[usize],
+        base_sources: usize,
+    ) -> Vec<(usize, Result<Value, SnapError>)> {
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::Merge);
+        }
+        let mut child_states = Vec::new();
         let mut leftovers: Vec<(f64, u64, usize, usize, NetEvent)> = Vec::new();
         let mut errors: Vec<(f64, usize, hpfq_core::HpfqError)> = Vec::new();
         let mut max_now = self.engine.now();
@@ -1085,6 +1085,9 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 self.shard_spans.push(snap);
             }
             self.epoch_log.append(&mut w.epoch_log);
+            if let Some(c) = w.injector.take() {
+                child_states.push((sid, c.save_state()));
+            }
             // Links move back whole: ledger, hierarchy, observer state and
             // all. Each was owned by exactly one shard.
             for (i, slot) in w.links.iter_mut().enumerate() {
@@ -1164,7 +1167,18 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         errors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         self.command_errors
             .extend(errors.into_iter().map(|(t, _, e)| (t, e)));
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::Merge);
+        }
+        child_states
     }
+}
+
+/// The next epoch's start — the global minimum of the shards' pending
+/// event times — or `None` when nothing is due at or before `horizon`.
+fn next_epoch_start(next_times: &[f64], horizon: f64) -> Option<f64> {
+    let global_next = next_times.iter().fold(f64::INFINITY, |m, &t| m.min(t));
+    (global_next.is_finite() && global_next <= horizon).then_some(global_next)
 }
 
 /// The per-shard epoch loop for one supervised stint. Returns how the
@@ -1205,71 +1219,20 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
             }
         }
         epochs += 1;
-        let epoch_end = t_start + lookahead;
-        net.engine.advance_to(t_start);
-        // Drain this shard's events due inside the window (and horizon):
-        // strictly before the epoch boundary, inclusively at the horizon
-        // (matching the sequential loop's `pop_due` semantics there).
-        // A ladder halt stops the drain immediately — like the
-        // sequential loop's `while !halted` — and raises the shared halt
-        // flag; results are discarded and replayed sequentially anyway,
-        // the flag only ends the stint promptly on every shard.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::EpochCompute);
-        }
-        let mut handled = 0u64;
-        while !net.halted {
-            let due = if epoch_end <= horizon {
-                net.engine.pop_strictly_before(epoch_end)
-            } else {
-                net.engine.pop_due(horizon)
-            };
-            let Some((t, ev)) = due else { break };
-            net.handle(t, ev);
-            handled += 1;
-        }
+        net.drain_epoch(sid, t_start, t_start + lookahead, horizon);
         if net.halted {
-            // lint:allow(L010): deliberate pre-barrier publication. Every
-            // halt store is sequenced before this shard's first barrier,
-            // and readers capture the flag between the barriers — where
-            // no peer can be computing — so all shards decide the stint
-            // outcome from the same stable value. Storing in the exchange
-            // phase instead would reintroduce the read-after-barrier race
-            // this protocol exists to prevent.
+            // Deliberate pre-barrier publication: every halt store is
+            // sequenced before this shard's first barrier, and readers
+            // capture the flag between the barriers — where no peer can
+            // be computing — so all shards decide the stint outcome from
+            // the same stable value. Results are discarded and replayed
+            // sequentially anyway; the flag only ends the stint promptly
+            // on every shard.
             halt_flag.store(true, Ordering::Relaxed);
         }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::EpochCompute);
-        }
-        if net.record_epochs {
-            net.epoch_log.push(EpochSpan {
-                shard: sid,
-                t0: t_start,
-                t1: epoch_end.min(horizon),
-                events: handled,
-            });
-        }
-        // Post everything produced for other shards. `send_seq` keeps the
-        // producing order so identical `(t, minor)` envelopes from one
-        // sender stay FIFO after the inbox sort.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::Exchange);
-        }
-        if let Some(ctx) = net.shard.as_mut() {
-            for OutMsg { dest, t, minor, ev } in ctx.outbox.drain(..) {
-                send_seq += 1;
-                lock_clean(&mailboxes[dest]).push(Envelope {
-                    t,
-                    minor,
-                    sender: sid,
-                    seq: send_seq,
-                    ev,
-                });
-            }
-        }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::Exchange);
-        }
+        net.post_outbox(sid, &mut send_seq, |env| {
+            lock_clean(&mailboxes[env.msg.dest]).push(env)
+        });
         if SpanProfiler::ENABLED {
             net.profiler.span_enter(SpanKind::BarrierWait);
         }
@@ -1280,25 +1243,10 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         if let Err(e) = first {
             return Err(fail(e, global_epoch));
         }
-        // All inboxes are complete now: take mine, order it canonically,
-        // feed the engine.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::Exchange);
-        }
-        let mut inbox = std::mem::take(&mut *lock_clean(&mailboxes[sid]));
-        inbox.sort_by(|a, b| {
-            a.t.total_cmp(&b.t)
-                .then(a.minor.cmp(&b.minor))
-                .then(a.sender.cmp(&b.sender))
-                .then(a.seq.cmp(&b.seq))
-        });
-        for env in inbox {
-            net.engine.schedule_keyed(env.t, env.minor, env.ev);
-        }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::Exchange);
-        }
-        lock_clean(next_times)[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);
+        // All inboxes are complete now: take mine and feed the engine.
+        let inbox = std::mem::take(&mut *lock_clean(&mailboxes[sid]));
+        let next = net.deliver_inbox(inbox);
+        lock_clean(next_times)[sid] = next;
         // Capture the halt flag between the barriers: every shard that
         // halted this epoch stored it before the first barrier, and no
         // shard can be computing the next epoch yet (that requires
@@ -1323,28 +1271,18 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         // Every shard computes the same stint outcome from the same
         // published state; no third barrier is needed because slot `sid`
         // is only rewritten after the *next* exchange barrier.
-        if halted_this_epoch {
-            return Ok(StintResult {
-                epochs,
-                end: StintEnd::Halted,
-            });
-        }
-        let global_next =
-            lock_clean(next_times)
-                .iter()
-                .fold(f64::INFINITY, |m, &t| if t < m { t } else { m });
-        if !global_next.is_finite() || global_next > horizon {
-            return Ok(StintResult {
-                epochs,
-                end: StintEnd::Finished,
-            });
-        }
-        if epochs >= stint_epochs {
-            return Ok(StintResult {
-                epochs,
-                end: StintEnd::CheckpointDue,
-            });
-        }
-        t_start = global_next;
+        let end = if halted_this_epoch {
+            StintEnd::Halted
+        } else {
+            match next_epoch_start(&lock_clean(next_times), horizon) {
+                None => StintEnd::Finished,
+                Some(_) if epochs >= stint_epochs => StintEnd::CheckpointDue,
+                Some(t) => {
+                    t_start = t;
+                    continue;
+                }
+            }
+        };
+        return Ok(StintResult { epochs, end });
     }
 }
