@@ -167,9 +167,9 @@ impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
 /// closure rides along on the hot path.
 ///
 /// ```
-/// use hpfq_core::{HierarchyBuilder, SchedulerKind};
+/// use hpfq_core::{Hierarchy, MixedScheduler, SchedulerKind};
 ///
-/// let mut b = HierarchyBuilder::new(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
+/// let mut b = Hierarchy::<MixedScheduler>::builder(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
 /// let cls = b.add_internal(b.root(), 0.8)?;
 /// let leaf = b.add_leaf(cls, 0.5)?;
 /// let h = b.build();
@@ -185,52 +185,7 @@ pub struct HierarchyBuilder<S: NodeScheduler, O: Observer = NoopObserver> {
     factory: Box<dyn Fn(f64) -> S>,
 }
 
-impl<S: NodeScheduler> HierarchyBuilder<S> {
-    /// Starts a hierarchy whose root (the physical link) runs at
-    /// `rate_bps`, building node schedulers with `factory`.
-    pub fn new(rate_bps: f64, factory: impl Fn(f64) -> S + 'static) -> Self {
-        HierarchyBuilder::with_observer(rate_bps, factory, NoopObserver)
-    }
-}
-
 impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
-    /// Like [`HierarchyBuilder::new`], with an explicit event sink attached.
-    pub fn with_observer(rate_bps: f64, factory: impl Fn(f64) -> S + 'static, obs: O) -> Self {
-        assert!(
-            rate_bps.is_finite() && rate_bps > 0.0,
-            "invalid link rate {rate_bps}"
-        );
-        let factory: Box<dyn Fn(f64) -> S> = Box::new(factory);
-        let root = Node {
-            parent: None,
-            children: Vec::new(),
-            sched: Some(factory(rate_bps)),
-            rate: rate_bps,
-            phi: 1.0,
-            child_phi_sum: 0.0,
-            head: None,
-            active_child: None,
-            fifo: VecDeque::new(),
-            fifo_bytes: 0,
-            is_leaf: false,
-            detached: false,
-            draining: false,
-        };
-        let h = Hierarchy {
-            nodes: vec![root],
-            transmitting: false,
-            busy_start: 0.0,
-            warp_base: 0.0,
-            warp_time: 0.0,
-            warp_factor: 1.0,
-            obs,
-            last_time: 0.0,
-            link: 0,
-            path_scratch: Vec::new(),
-        };
-        HierarchyBuilder { h, factory }
-    }
-
     /// The root node (the physical link).
     pub fn root(&self) -> NodeId {
         NodeId(0)
@@ -284,20 +239,53 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
 }
 
 impl<S: NodeScheduler> Hierarchy<S> {
-    /// Shorthand for [`HierarchyBuilder::new`].
+    /// Starts a hierarchy whose root (the physical link) runs at
+    /// `rate_bps`, building node schedulers with `factory`.
     pub fn builder(rate_bps: f64, factory: impl Fn(f64) -> S + 'static) -> HierarchyBuilder<S> {
-        HierarchyBuilder::new(rate_bps, factory)
+        Hierarchy::builder_with_observer(rate_bps, factory, NoopObserver)
     }
 }
 
 impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
-    /// Shorthand for [`HierarchyBuilder::with_observer`].
+    /// Like [`Hierarchy::builder`], with an explicit event sink attached.
     pub fn builder_with_observer(
         rate_bps: f64,
         factory: impl Fn(f64) -> S + 'static,
         obs: O,
     ) -> HierarchyBuilder<S, O> {
-        HierarchyBuilder::with_observer(rate_bps, factory, obs)
+        assert!(
+            rate_bps.is_finite() && rate_bps > 0.0,
+            "invalid link rate {rate_bps}"
+        );
+        let factory: Box<dyn Fn(f64) -> S> = Box::new(factory);
+        let root = Node {
+            parent: None,
+            children: Vec::new(),
+            sched: Some(factory(rate_bps)),
+            rate: rate_bps,
+            phi: 1.0,
+            child_phi_sum: 0.0,
+            head: None,
+            active_child: None,
+            fifo: VecDeque::new(),
+            fifo_bytes: 0,
+            is_leaf: false,
+            detached: false,
+            draining: false,
+        };
+        let h = Hierarchy {
+            nodes: vec![root],
+            transmitting: false,
+            busy_start: 0.0,
+            warp_base: 0.0,
+            warp_time: 0.0,
+            warp_factor: 1.0,
+            obs,
+            last_time: 0.0,
+            link: 0,
+            path_scratch: Vec::new(),
+        };
+        HierarchyBuilder { h, factory }
     }
 
     /// Maps real time onto the warped reference clock (nominal-rate link
@@ -740,20 +728,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.transmitting
     }
 
-    /// The link takes the root's offered packet for transmission; returns a
-    /// copy of it (the packet stays in its leaf queue until
-    /// [`Hierarchy::complete_transmission`]). `None` if nothing is pending.
+    /// The link takes the root's offered packet for transmission at real
+    /// time `now` (stamped on the emitted [`TxEvent`]); returns a copy of
+    /// it (the packet stays in its leaf queue until
+    /// [`Hierarchy::complete_transmission_at`]). `None` if nothing is
+    /// pending.
     ///
     /// # Panics
     /// If a transmission is already in progress.
-    pub fn start_transmission(&mut self) -> Option<Packet> {
-        let t = self.last_time;
-        self.start_transmission_at(t)
-    }
-
-    /// [`Hierarchy::start_transmission`] with the exact real start time, so
-    /// emitted [`TxEvent`]s carry it (drivers with a clock — the simulator —
-    /// use this form).
     pub fn start_transmission_at(&mut self, now: f64) -> Option<Packet> {
         assert!(!self.transmitting, "transmission already in progress");
         let head = self.nodes[0].head?;
@@ -775,20 +757,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         Some(pkt)
     }
 
-    /// RESET-PATH + RESTART-NODE chain at the end of a transmission: pops
-    /// the transmitted packet from its leaf, re-offers successors along the
+    /// RESET-PATH + RESTART-NODE chain at the end of a transmission at
+    /// real time `now` (stamped on the emitted [`TxEvent`]): pops the
+    /// transmitted packet from its leaf, re-offers successors along the
     /// path, and pre-selects the root's next packet. Returns the popped
     /// packet.
     ///
     /// # Panics
     /// If no transmission is in progress.
-    pub fn complete_transmission(&mut self) -> Packet {
-        let t = self.last_time;
-        self.complete_transmission_at(t)
-    }
-
-    /// [`Hierarchy::complete_transmission`] with the exact real completion
-    /// time for the emitted [`TxEvent`].
     pub fn complete_transmission_at(&mut self, now: f64) -> Packet {
         assert!(self.transmitting, "no transmission in progress");
         self.transmitting = false;
@@ -913,10 +889,11 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     }
 
     /// Convenience for order-only tests and simple examples:
-    /// `start_transmission` + `complete_transmission` in one step.
+    /// `start_transmission_at` + `complete_transmission_at` in one step,
+    /// both at the hierarchy's latest known time.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        self.start_transmission()?;
-        Some(self.complete_transmission())
+        self.start_transmission_at(self.last_time)?;
+        Some(self.complete_transmission_at(self.last_time))
     }
 
     fn sched_mut(&mut self, n: usize) -> &mut S {
@@ -989,56 +966,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             .virtual_time()
     }
 
-    /// Ancestor chain of `node` from its parent up to the root — the
-    /// `p(i), p²(i), …, p^H(i) = R` of Theorems 1–2. Non-allocating; see
-    /// [`Hierarchy::ancestors`] for the collected form.
-    pub fn ancestors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut n = node.0;
-        std::iter::from_fn(move || {
-            let (p, _) = self.nodes[n].parent?;
-            n = p;
-            Some(NodeId(p))
-        })
-    }
-
-    /// Ancestor chain of `node`, collected ([`Hierarchy::ancestors_iter`]
-    /// is the non-allocating form).
-    pub fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
-        self.ancestors_iter(node).collect()
-    }
-
-    /// All leaf node ids, in creation order (including removed ones; see
-    /// [`Hierarchy::active_leaves_iter`]). Non-allocating; see
-    /// [`Hierarchy::leaves`] for the collected form.
-    pub fn leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// All leaf node ids, in creation order, including removed ones
+    /// ([`Hierarchy::is_detached`] tells them apart).
+    pub fn leaves(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| n.is_leaf)
             .map(|(i, _)| NodeId(i))
-    }
-
-    /// All leaf node ids, collected ([`Hierarchy::leaves_iter`] is the
-    /// non-allocating form).
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.leaves_iter().collect()
-    }
-
-    /// Leaf node ids still attached to the tree, in creation order.
-    /// Non-allocating; see [`Hierarchy::active_leaves`] for the collected
-    /// form.
-    pub fn active_leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf && !n.detached && !n.draining)
-            .map(|(i, _)| NodeId(i))
-    }
-
-    /// Leaf node ids still attached, collected
-    /// ([`Hierarchy::active_leaves_iter`] is the non-allocating form).
-    pub fn active_leaves(&self) -> Vec<NodeId> {
-        self.active_leaves_iter().collect()
     }
 
     /// Sum of the shares currently allocated to `node`'s attached children
@@ -1411,12 +1346,12 @@ mod tests {
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
         h.enqueue(a, pkt(1, 0));
-        let started = h.start_transmission().unwrap();
+        let started = h.start_transmission_at(0.0).unwrap();
         assert_eq!(started.id, 1);
         // b's packet arrives mid-flight; the in-flight head is untouched.
         h.enqueue(b, pkt(2, 1));
         assert!(h.is_transmitting());
-        let done = h.complete_transmission();
+        let done = h.complete_transmission_at(0.0);
         assert_eq!(done.id, 1);
         // Root pre-selected b's packet during completion.
         assert!(h.has_pending());
@@ -1502,8 +1437,8 @@ mod tests {
         // The freed share is allocatable again.
         let c = h.add_leaf(root, 0.6).unwrap();
         assert!(!h.is_detached(c));
-        assert_eq!(h.active_leaves().len(), 2);
-        assert_eq!(h.leaves().len(), 3);
+        assert_eq!(h.leaves().filter(|&l| !h.is_detached(l)).count(), 2);
+        assert_eq!(h.leaves().count(), 3);
     }
 
     #[test]
@@ -1543,11 +1478,11 @@ mod tests {
         h.enqueue(a, pkt(1, 0));
         h.enqueue(a, pkt(2, 0));
         h.enqueue(b, pkt(3, 1));
-        let started = h.start_transmission().unwrap();
+        let started = h.start_transmission_at(0.0).unwrap();
         assert_eq!(started.flow, 0);
         let purged = h.remove_leaf(a).unwrap();
         assert_eq!(purged.len(), 1); // pkt 2; pkt 1 is in flight
-        let done = h.complete_transmission();
+        let done = h.complete_transmission_at(0.0);
         assert_eq!(done.id, 1);
         assert!(h.is_detached(a));
         assert_eq!(h.dequeue().unwrap().id, 3);
@@ -1707,11 +1642,9 @@ mod tests {
         let h = bld.build();
         assert_eq!(h.rate(a), 800.0);
         assert_eq!(h.rate(a1), 400.0);
-        assert_eq!(h.ancestors(a1), vec![a, root]);
-        assert_eq!(h.ancestors_iter(a1).collect::<Vec<_>>(), vec![a, root]);
-        assert_eq!(h.leaves(), vec![a1]);
-        assert_eq!(h.leaves_iter().collect::<Vec<_>>(), vec![a1]);
-        assert_eq!(h.active_leaves_iter().collect::<Vec<_>>(), vec![a1]);
+        assert_eq!(h.parent(a1), Some(a));
+        assert_eq!(h.parent(a), Some(root));
+        assert_eq!(h.leaves().collect::<Vec<_>>(), vec![a1]);
         assert!(h.is_leaf(a1));
         assert!(!h.is_leaf(a));
     }

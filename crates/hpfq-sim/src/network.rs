@@ -1413,7 +1413,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let l = self.link(link);
         let leaves: u64 = l
             .server
-            .leaves_iter()
+            .leaves()
             .map(|leaf| l.server.leaf_queue_bytes(leaf))
             .sum();
         let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
@@ -1428,7 +1428,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             .map(|l| {
                 let leaves: u64 = l
                     .server
-                    .leaves_iter()
+                    .leaves()
                     .map(|leaf| l.server.leaf_queue_bytes(leaf))
                     .sum();
                 let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
