@@ -56,7 +56,7 @@ pub enum Scenario {
 /// the experiments. Generic over the attached [`Observer`] so experiments
 /// can trace or invariant-check the full run at will.
 pub struct Fig3<O: Observer = NoopObserver> {
-    /// The simulation (sources attached, RT-1 traced).
+    /// The one-link network (sources attached, RT-1 traced).
     pub net: Network<MixedScheduler, O>,
     /// Leaf node of the measured real-time session.
     pub rt1_leaf: NodeId,

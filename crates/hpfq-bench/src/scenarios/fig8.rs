@@ -61,7 +61,7 @@ pub fn on_schedules() -> [Vec<(f64, f64)>; 4] {
 
 /// The built link-sharing scenario.
 pub struct Fig8 {
-    /// The simulation, TCP flows 1,5,8,10,11 traced.
+    /// The one-link network, TCP flows 1,5,8,10,11 traced.
     pub net: Network<MixedScheduler>,
     /// Leaf node per TCP session (index 0 ⇒ TCP-1).
     pub tcp_leaves: Vec<NodeId>,

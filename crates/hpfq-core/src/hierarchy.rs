@@ -18,9 +18,9 @@
 //!   stamping `S = max(F, V_parent)`) and *bubble up*: every ancestor that
 //!   was not offering a packet runs RESTART-NODE (selects a head, advancing
 //!   its own `V`/`T` per lines 12–13) and offers it upward in turn.
-//! * [`Hierarchy::start_transmission`] — the link takes the root's offered
+//! * [`Hierarchy::start_transmission_at`] — the link takes the root's offered
 //!   packet (pseudocode line 20).
-//! * [`Hierarchy::complete_transmission`] — RESET-PATH: clear the logical
+//! * [`Hierarchy::complete_transmission_at`] — RESET-PATH: clear the logical
 //!   heads along the in-flight path, pop the packet from its leaf FIFO,
 //!   re-offer the leaf's next packet (`S = F`, eq. 28 first case), and
 //!   re-run RESTART-NODE bottom-up along the path so every node on it
@@ -722,8 +722,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     }
 
     /// Whether a transmission is in progress (between
-    /// [`Hierarchy::start_transmission`] and
-    /// [`Hierarchy::complete_transmission`]).
+    /// [`Hierarchy::start_transmission_at`] and
+    /// [`Hierarchy::complete_transmission_at`]).
     pub fn is_transmitting(&self) -> bool {
         self.transmitting
     }

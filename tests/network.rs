@@ -3,10 +3,10 @@
 //! escalation.
 //!
 //! The golden test pins a one-link network on a reduced Fig. 3 workload,
-//! with an outage command and a finite buffer in the mix, to the merged
-//! JSONL trace and statistics it has always produced: line count, a
-//! 64-bit FNV-1a digest of the trace bytes, and the run totals. Any change
-//! to event order, scheduling or trace encoding shows up here.
+//! with an outage command and a finite buffer in the mix, to frozen
+//! values of its merged JSONL trace and statistics: line count, a 64-bit
+//! FNV-1a digest of the trace bytes, and the run totals. Any change to
+//! event order, scheduling or trace encoding shows up here.
 
 use hpfq::analysis::{path_records_from_trace, per_link_records_from_trace};
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, Packet, SchedulerKind};
