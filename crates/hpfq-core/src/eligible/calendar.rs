@@ -17,7 +17,7 @@
 //! *ready* wheel keyed by primary (finish) rank, plus the same physically
 //! maintained sorted *monotone tail* deque for ring disciplines. Each wheel
 //! maps a key to an integer tick `⌊(key − base)/width⌋` and stores the
-//! entry in one of [`LEVELS`] levels of [`NB`] buckets each; level `l`
+//! entry in one of `LEVELS` levels of `NB` buckets each; level `l`
 //! buckets are `NB^l` ticks wide, so the wheels cover `NB^LEVELS` ticks
 //! (16.7M) beyond the cursor. Keys below the level-0 window land in an
 //! *under* heap (rare: a rank below everything live), keys beyond the

@@ -209,10 +209,6 @@ impl<B: PifoBackend> NodeScheduler for MixedScheduler<B> {
         dispatch!(self, s => s.set_is_root(is_root))
     }
 
-    fn set_dispatch_batch(&mut self, k: usize) {
-        dispatch!(self, s => s.set_dispatch_batch(k))
-    }
-
     fn save_state(&self) -> Value {
         Value::map(vec![
             ("kind", Value::Str(self.name().to_string())),

@@ -127,13 +127,11 @@ pub trait NodeScheduler {
         let _ = is_root;
     }
 
-    /// Sets the dispatch batch size `k`: schedulers that support batched
-    /// dispatch ([`crate::PifoTree`]) recompute their eligibility threshold
-    /// once per `k` dispatches instead of every dispatch. `k = 1` (the
-    /// default everywhere) is the exact per-dispatch schedule; `k > 1`
-    /// trades a bounded amount of short-term fairness for hot-path work.
-    /// The default ignores the hint — batching is an optimization, never a
-    /// semantic requirement.
+    /// Hint that the scheduler may hold one eligibility threshold for `k`
+    /// consecutive dispatches. No in-tree scheduler batches: each one
+    /// recomputes its threshold at every dispatch, the per-packet schedule
+    /// that Theorems 1–4 bound, so the default ignores the hint. It stays
+    /// for wrapping schedulers that forward it to their inner scheduler.
     fn set_dispatch_batch(&mut self, k: usize) {
         let _ = k;
     }

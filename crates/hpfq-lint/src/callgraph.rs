@@ -38,12 +38,7 @@ pub struct CallGraph {
 /// Whether `f` is a hot-path seed (engine entry point).
 pub fn is_hot_seed(f: &FnSym) -> bool {
     match f.self_ty.as_deref() {
-        // `arm_train_front` is the batched-dispatch pump: every link
-        // departure under `dispatch_batch > 1` re-arms through it.
-        Some("Network") => matches!(
-            f.name.as_str(),
-            "run" | "run_parallel" | "run_permuted" | "arm_train_front"
-        ),
+        Some("Network") => matches!(f.name.as_str(), "run" | "run_parallel" | "run_permuted"),
         // The calendar eligible set and its timing wheels run under every
         // PifoTree dispatch; seeding the whole surface keeps the wheel
         // internals (cascade, rebuild, bucket sort) covered even when the

@@ -279,6 +279,6 @@ pub enum TraceEvent {
 /// names map to `"?"` — the invariant checks that are policy-conditional
 /// simply skip them.
 pub fn intern_policy(name: &str) -> &'static str {
-    const KNOWN: [&str; 7] = ["wf2q+", "wfq", "wf2q", "scfq", "sfq", "drr", "fifo"];
+    const KNOWN: [&str; 8] = ["wf2q+", "wfq", "wf2q", "scfq", "sfq", "drr", "fifo", "rr"];
     KNOWN.iter().find(|&&k| k == name).copied().unwrap_or("?")
 }

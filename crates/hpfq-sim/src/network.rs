@@ -32,7 +32,7 @@
 //! flow's leaves are removed at every hop), or halt. Nothing in this path
 //! panics.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
@@ -358,14 +358,6 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
     pub(crate) tx_remaining_bits: f64,
     /// Time `tx_remaining_bits` was last brought up to date.
     pub(crate) tx_updated: f64,
-    /// Batched-dispatch train: transmissions already planned against the
-    /// hierarchy (selected, virtual clock advanced) but not yet completed
-    /// on the wire, as `(planned start, packet)` in service order. Always
-    /// empty when the network's dispatch batch is 1 — the pristine
-    /// one-packet path never touches it. Train packets have left their
-    /// leaf queues, so byte accounting counts them as queued-on-link
-    /// until their `TxComplete` fires.
-    pub(crate) train: VecDeque<(f64, Packet)>,
     pub(crate) ledger: LinkLedger,
 }
 
@@ -456,10 +448,6 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// every this-many epochs. `0` means one unbounded stint (a single
     /// checkpoint at the start of the run).
     pub(crate) stint_epochs: u64,
-    /// Barrier watchdog for parallel runs: a worker stuck at the two-phase
-    /// exchange longer than this poisons the barrier, converting a wedged
-    /// run into a typed [`crate::ShardFailure::BarrierTimeout`].
-    pub(crate) watchdog: std::time::Duration,
     /// Test hook: `(shard, global epoch)` at which that shard's worker
     /// panics — armed only on the first attempt of the covering stint, so
     /// a checkpointed run recovers on retry.
@@ -468,9 +456,6 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// on a halt or exhausted retry budget, the state to resume from.
     /// Diagnostic only: not itself part of snapshots.
     pub(crate) last_checkpoint: Option<Value>,
-    /// Packets dispatched per virtual-clock update (see
-    /// [`Network::set_dispatch_batch`]). 1 = classic per-packet mode.
-    pub(crate) dispatch_batch: usize,
 }
 
 impl<S: NodeScheduler, O: Observer> Default for Network<S, O> {
@@ -500,34 +485,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             epoch_log: Vec::new(),
             shard_spans: Vec::new(),
             stint_epochs: 64,
-            watchdog: std::time::Duration::from_secs(10),
             panic_plan: None,
             last_checkpoint: None,
-            dispatch_batch: 1,
-        }
-    }
-
-    /// Sets the dispatch batch size `k`: each time a link goes (or stays)
-    /// busy, up to `k` transmissions are planned against its hierarchy in
-    /// one pass — one virtual-clock update per batch instead of per packet
-    /// — and then complete on the wire back-to-back as a *train*.
-    ///
-    /// `k = 1` (the default) is the classic mode and is byte-identical to
-    /// the historical per-packet event loop. `k > 1` trades scheduling
-    /// exactness for amortized cost: packets arriving while a train is
-    /// planned cannot preempt it, so any session can be served up to
-    /// `k - 1` packets late — an `O(k * Lmax)` service deviation
-    /// (`hpfq-analysis` checks the bound). Under mid-train link-rate
-    /// changes the recorded per-packet start times keep their planned
-    /// values; only the train front's completion is rescheduled exactly.
-    ///
-    /// Also forwards `k` to every link hierarchy so the PIFO driver
-    /// batches its virtual-clock updates to match.
-    pub fn set_dispatch_batch(&mut self, k: usize) {
-        let k = k.max(1);
-        self.dispatch_batch = k;
-        for link in self.links.iter_mut().flatten() {
-            link.server.set_dispatch_batch(k);
         }
     }
 
@@ -562,7 +521,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     pub fn add_link(&mut self, mut server: Hierarchy<S, O>) -> usize {
         let idx = self.links.len();
         server.set_link_id(idx);
-        server.set_dispatch_batch(self.dispatch_batch);
         let rate = server.link_rate();
         self.links.push(Some(Link {
             server,
@@ -571,7 +529,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             tx_epoch: 0,
             tx_remaining_bits: 0.0,
             tx_updated: 0.0,
-            train: VecDeque::new(),
             ledger: LinkLedger::default(),
         }));
         idx
@@ -888,65 +845,21 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn try_start(&mut self, link: usize) {
         let halted = self.halted;
         let now = self.engine.now();
-        let k = self.dispatch_batch;
         let l = self.link_mut(link);
-        if l.rate <= 0.0 || halted || l.server.is_transmitting() || !l.train.is_empty() {
+        if l.rate <= 0.0 || halted || l.server.is_transmitting() {
             return;
         }
-        if k <= 1 {
-            if l.server.has_pending() {
-                // has_pending() was checked just above, so this is always
-                // Some; degrade to a no-op rather than asserting.
-                let Some(pkt) = l.server.start_transmission_at(now) else {
-                    return;
-                };
-                l.tx_start = now;
-                l.tx_remaining_bits = pkt.bits();
-                l.tx_updated = now;
-                let epoch = l.tx_epoch;
-                let done = now + pkt.tx_time(l.rate);
-                self.send(done, NetEvent::TxComplete { link, epoch });
-            }
-            return;
-        }
-        // Batched mode: plan up to k back-to-back transmissions against the
-        // hierarchy in one pass (each start/complete pair runs at its
-        // projected wire time under the current rate), then ride them out
-        // as a train — one pending TxComplete for the front at a time.
-        let rate = l.rate;
-        let mut start = now;
-        for _ in 0..k {
-            if !l.server.has_pending() {
-                break;
-            }
-            let Some(pkt) = l.server.start_transmission_at(start) else {
-                break;
+        if l.server.has_pending() {
+            // has_pending() was checked just above, so this is always
+            // Some; degrade to a no-op rather than asserting.
+            let Some(pkt) = l.server.start_transmission_at(now) else {
+                return;
             };
-            let end = start + pkt.tx_time(rate);
-            let sent = l.server.complete_transmission_at(end);
-            debug_assert_eq!(sent.id, pkt.id);
-            l.train.push_back((start, sent));
-            start = end;
-        }
-        self.arm_train_front(link, now);
-    }
-
-    /// Schedules the pending `TxComplete` for the train's front packet and
-    /// points the in-flight bookkeeping (`tx_start`/`tx_remaining_bits`/
-    /// `tx_updated`) at it. No-op when the train is empty; during an
-    /// outage the bookkeeping is set but the completion waits for
-    /// `set_link_rate` to restore a positive rate.
-    fn arm_train_front(&mut self, link: usize, now: f64) {
-        let l = self.link_mut(link);
-        let Some(&(start, ref pkt)) = l.train.front() else {
-            return;
-        };
-        l.tx_start = start;
-        l.tx_remaining_bits = pkt.bits();
-        l.tx_updated = now;
-        if l.rate > 0.0 {
+            l.tx_start = now;
+            l.tx_remaining_bits = pkt.bits();
+            l.tx_updated = now;
             let epoch = l.tx_epoch;
-            let done = now + l.tx_remaining_bits / l.rate;
+            let done = now + pkt.tx_time(l.rate);
             self.send(done, NetEvent::TxComplete { link, epoch });
         }
     }
@@ -963,12 +876,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             return;
         }
         let l = self.link_mut(link);
-        if l.server.is_transmitting() || !l.train.is_empty() {
+        if l.server.is_transmitting() {
             // Credit bits sent under the old rate, then reschedule the
-            // remainder under the new one. In batched mode this applies to
-            // the train's front packet; queued train members keep their
-            // full length and are timed at the prevailing rate when they
-            // reach the front.
+            // remainder under the new one.
             let sent = (now - l.tx_updated) * l.rate;
             l.tx_remaining_bits = (l.tx_remaining_bits - sent).max(0.0);
             l.tx_updated = now;
@@ -988,7 +898,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         if let Err(e) = l.server.set_link_rate_factor(now, factor) {
             self.command_errors.push((now, e));
         }
-        if !self.link(link).server.is_transmitting() && self.link(link).train.is_empty() {
+        if !self.link(link).server.is_transmitting() {
             self.try_start(link);
         }
     }
@@ -1247,16 +1157,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Vclock);
         }
-        // Batched mode: the hierarchy already completed this packet at plan
-        // time; pop it off the train. Classic mode completes it now.
-        let (pkt, started) = match self.link_mut(link).train.pop_front() {
-            Some((start, pkt)) => (pkt, start),
-            None => {
-                let pkt = self.link_mut(link).server.complete_transmission_at(t);
-                let started = self.link(link).tx_start;
-                (pkt, started)
-            }
-        };
+        let pkt = self.link_mut(link).server.complete_transmission_at(t);
+        let started = self.link(link).tx_start;
         if SpanProfiler::ENABLED {
             self.profiler.span_exit(SpanKind::Vclock);
         }
@@ -1320,9 +1222,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Dispatch);
         }
-        // Batched mode: the next train member (if any) goes on the wire
-        // back-to-back; try_start is then a no-op until the train drains.
-        self.arm_train_front(link, t);
         self.try_start(link);
         if SpanProfiler::ENABLED {
             self.profiler.span_exit(SpanKind::Dispatch);
@@ -1406,34 +1305,20 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Bytes currently queued at `link`: leaf queues (including any
-    /// in-flight packet, which stays in its leaf queue until completion)
-    /// plus any planned train packets (batched mode), which have left
-    /// their leaves but not yet completed on the wire.
+    /// in-flight packet, which stays in its leaf queue until completion).
     pub fn queued_bytes_on(&self, link: usize) -> u64 {
         let l = self.link(link);
-        let leaves: u64 = l
-            .server
+        l.server
             .leaves()
             .map(|leaf| l.server.leaf_queue_bytes(leaf))
-            .sum();
-        let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
-        leaves + train
+            .sum()
     }
 
-    /// Bytes currently queued across every link.
+    /// Bytes currently queued across every link this network owns.
     pub fn queued_bytes(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| {
-                let leaves: u64 = l
-                    .server
-                    .leaves()
-                    .map(|leaf| l.server.leaf_queue_bytes(leaf))
-                    .sum();
-                let train: u64 = l.train.iter().map(|(_, p)| u64::from(p.len_bytes)).sum();
-                leaves + train
-            })
+        (0..self.links.len())
+            .filter(|&i| self.links[i].is_some())
+            .map(|i| self.queued_bytes_on(i))
             .sum()
     }
 
@@ -1472,7 +1357,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Aggregated wall-clock span timings recorded so far: the sequential
-    /// engine's own samples plus, after [`crate::run_parallel`], every
+    /// engine's own samples plus, after [`Network::run_parallel`], every
     /// worker shard's (absorbed at merge). Empty unless the crate was
     /// built with the `profile` feature.
     pub fn span_snapshot(&self) -> SpanSnapshot {
@@ -1512,15 +1397,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// unbounded stint (one checkpoint at the start of the run).
     pub fn set_stint_epochs(&mut self, epochs: u64) {
         self.stint_epochs = epochs;
-    }
-
-    /// Sets the watchdog timeout for the parallel runtime's two-barrier
-    /// exchange (default 10 s). A worker waiting longer than this — its
-    /// peer died or wedged — poisons the barrier; the stint fails with a
-    /// typed [`crate::ShardFailure`] instead of hanging, and the
-    /// supervisor rolls back to the last checkpoint.
-    pub fn set_watchdog(&mut self, timeout: std::time::Duration) {
-        self.watchdog = timeout;
     }
 
     /// Arms a one-shot injected panic: the worker for `shard` panics when

@@ -27,7 +27,7 @@
 //! epochs. At each stint boundary the shards merge back into the master,
 //! which refreshes its [`Network::snapshot`] **checkpoint** and re-splits.
 //! Each worker's stint runs under `catch_unwind`; a panic poisons the
-//! exchange barrier (a [`PhaseBarrier`] with a watchdog timeout, so a
+//! exchange barrier (a `PhaseBarrier` with a watchdog timeout, so a
 //! dead peer produces a typed timeout instead of a hang) and the stint's
 //! results are discarded: the supervisor restores the checkpoint and
 //! retries the stint within a bounded budget, then escalates to a typed
@@ -52,13 +52,13 @@
 //!
 //! The sequential run orders same-time events by `(minor key, global
 //! scheduling sequence)`; minor keys are content-derived
-//! ([`crate::network::minor_of`]) and collide only for events with
+//! (`network::minor_of`) and collide only for events with
 //! identical content streams (same packet id, same timer owner), whose
 //! relative FIFO order is itself content-determined. A shard therefore
 //! pops the events *of its links* in exactly the order the sequential
 //! engine would have popped them, provided every event reaches the right
 //! engine before its epoch — which the conservative window guarantees.
-//! Handlers are the *same code* in both modes ([`Network::handle`]) and
+//! Handlers are the *same code* in both modes (`Network::handle`) and
 //! mutate only shard-owned state (routing sends every event to the shard
 //! owning the link it mutates; the one cross-shard read — a removed
 //! flow's liveness — was converted into the explicitly propagated
@@ -144,7 +144,7 @@ pub enum ShardFailure {
         message: String,
     },
     /// The worker waited at the exchange barrier past the watchdog
-    /// timeout ([`Network::set_watchdog`]): a peer died or wedged.
+    /// timeout (10 s of wall-clock time): a peer died or wedged.
     BarrierTimeout {
         /// Shard whose wait timed out.
         shard: usize,
@@ -295,6 +295,11 @@ struct BarrierPhase {
     poisoned: bool,
 }
 
+/// How long a worker waits at the exchange barrier before it declares a
+/// peer dead or wedged and poisons the barrier. Far above any healthy
+/// epoch's compute time, so it fires only on a real failure.
+const BARRIER_WATCHDOG: Duration = Duration::from_secs(10);
+
 /// A reusable N-party barrier with a watchdog timeout and explicit
 /// poisoning — the crash-containment replacement for
 /// `std::sync::Barrier`, whose `wait` blocks forever if a peer dies
@@ -304,16 +309,14 @@ struct BarrierPhase {
 /// wedging the run.
 struct PhaseBarrier {
     n: usize,
-    timeout: Duration,
     state: Mutex<BarrierPhase>,
     cv: Condvar,
 }
 
 impl PhaseBarrier {
-    fn new(n: usize, timeout: Duration) -> Self {
+    fn new(n: usize) -> Self {
         PhaseBarrier {
             n,
-            timeout,
             state: Mutex::new(BarrierPhase {
                 arrived: 0,
                 generation: 0,
@@ -341,7 +344,7 @@ impl PhaseBarrier {
         // lint:allow(L007): watchdog deadline — wall-clock is the only
         // clock a wedged peer cannot stall; the value never reaches
         // simulation state, it only converts a hang into a typed error.
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + BARRIER_WATCHDOG;
         loop {
             // lint:allow(L007): same watchdog — see the deadline above.
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -410,7 +413,6 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         } else {
             self.stint_epochs
         };
-        let watchdog = self.watchdog;
 
         let mut first_children = Some(plan.children.take());
         let mut total_epochs = 0u64;
@@ -465,7 +467,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 }
             }
 
-            let barrier = PhaseBarrier::new(requested, watchdog);
+            let barrier = PhaseBarrier::new(requested);
             let mailboxes: Vec<Mutex<Vec<Envelope>>> =
                 (0..requested).map(|_| Mutex::new(Vec::new())).collect();
             // Each shard's earliest pending event time after the exchange
@@ -992,8 +994,6 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     }),
                     record_epochs: self.record_epochs,
                     stint_epochs: self.stint_epochs,
-                    watchdog: self.watchdog,
-                    dispatch_batch: self.dispatch_batch,
                     ..Network::new()
                 }
             })

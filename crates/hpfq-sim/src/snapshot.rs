@@ -39,8 +39,9 @@ use crate::network::{
 };
 use crate::source::load_source;
 
-/// Format version stamped into every snapshot.
-const SNAPSHOT_VERSION: u64 = 1;
+/// Format version stamped into every snapshot. Version 1 could carry
+/// planned departures this format has no room for, so `restore` refuses it.
+const SNAPSHOT_VERSION: u64 = 2;
 
 fn err(what: String) -> SnapError {
     SnapError { at: 0, what }
@@ -387,15 +388,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     ("tx_epoch", Value::U64(l.tx_epoch)),
                     ("tx_remaining_bits", Value::F64(l.tx_remaining_bits)),
                     ("tx_updated", Value::F64(l.tx_updated)),
-                    (
-                        "train",
-                        Value::List(
-                            l.train
-                                .iter()
-                                .map(|(s, p)| Value::List(vec![Value::F64(*s), p.save()]))
-                                .collect(),
-                        ),
-                    ),
                     ("ledger", save_ledger(&l.ledger)),
                 ]),
             });
@@ -524,11 +516,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             l.tx_epoch = lv.get("tx_epoch")?.as_u64()?;
             l.tx_remaining_bits = lv.get("tx_remaining_bits")?.as_f64()?;
             l.tx_updated = lv.get("tx_updated")?.as_f64()?;
-            l.train.clear();
-            for entry in lv.get("train")?.items()? {
-                let f = fixed_list(entry, 2, "train entry")?;
-                l.train.push_back((f[0].as_f64()?, Packet::load(&f[1])?));
-            }
             l.ledger = load_ledger(lv.get("ledger")?)?;
         }
         // Clock before queue: `schedule_keyed` clamps against `now`, so the

@@ -345,12 +345,15 @@ impl ScheduledOnOffSource {
     /// A source active during each `(start, end)` of `schedule`.
     pub fn new(flow: u32, len_bytes: u32, rate_bps: f64, schedule: Vec<(f64, f64)>) -> Self {
         assert!(rate_bps > 0.0);
-        for w in schedule.windows(2) {
-            assert!(
-                w[0].1 <= w[1].0,
-                "schedule intervals must be sorted/disjoint"
-            );
-        }
+        // Starts and ends both sorted: the searches in `active_at` and
+        // `next_start_after` rely on it. A branch-free fold keeps this pass
+        // as cheap as a single comparison per interval.
+        let (sorted, _) = schedule
+            .iter()
+            .fold((true, f64::NEG_INFINITY), |(ok, prev), &(s, e)| {
+                (ok & (prev <= s) & (s <= e), e)
+            });
+        assert!(sorted, "schedule intervals must be sorted/disjoint");
         ScheduledOnOffSource {
             flow,
             len_bytes,
@@ -360,20 +363,25 @@ impl ScheduledOnOffSource {
         }
     }
 
-    /// The active interval containing `t`, if any.
+    /// The active interval containing `t`, if any: the first interval not
+    /// yet ended, if it has started. Each tolerant test against a fixed `t`
+    /// is monotone in the sorted bounds, so a binary search finds it.
     fn active_at(&self, t: f64) -> Option<(f64, f64)> {
+        let i = self
+            .schedule
+            .partition_point(|&(_, e)| !vtime::strictly_before(t, e));
         self.schedule
-            .iter()
+            .get(i)
             .copied()
-            .find(|&(s, e)| vtime::approx_ge(t, s) && vtime::strictly_before(t, e))
+            .filter(|&(s, _)| vtime::approx_ge(t, s))
     }
 
     /// Start of the first interval after `t`.
     fn next_start_after(&self, t: f64) -> Option<f64> {
-        self.schedule
-            .iter()
-            .map(|&(s, _)| s)
-            .find(|&s| vtime::strictly_after(s, t))
+        let i = self
+            .schedule
+            .partition_point(|&(s, _)| !vtime::strictly_after(s, t));
+        self.schedule.get(i).map(|&(s, _)| s)
     }
 }
 
@@ -961,6 +969,34 @@ mod tests {
         // Interval 1: t=1,2 (packet at 3.0 would end outside); interval 2:
         // t=5.
         assert_eq!(pkts.len(), 3);
+
+        // Touching intervals: the source crosses 3.0 into the second one.
+        let schedule = vec![(1.0, 3.0), (3.0, 4.0), (4.0, 4.0), (5.0, 6.0)];
+        let mut s = ScheduledOnOffSource::new(3, 1000, 8000.0, schedule.clone());
+        let times: Vec<f64> = drain(&mut s, 10.0).iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [1.0, 2.0, 3.0, 5.0]);
+
+        // Wakes within tolerance of a start or an end, on either side: the
+        // searches agree with a scan from the head of the schedule.
+        let eps = vtime::EPS;
+        let probes = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+            .into_iter()
+            .flat_map(|b| [-1e-3, -4.0 * eps, -eps, 0.0, eps, 4.0 * eps, 1e-3].map(|d| b + d));
+        for t in probes {
+            let active = schedule
+                .iter()
+                .copied()
+                .find(|&(a, e)| vtime::approx_ge(t, a) && vtime::strictly_before(t, e));
+            let next = schedule
+                .iter()
+                .map(|&(a, _)| a)
+                .find(|&a| vtime::strictly_after(a, t));
+            assert_eq!(s.active_at(t), active, "active_at({t})");
+            assert_eq!(s.next_start_after(t), next, "next_start_after({t})");
+        }
+        assert_eq!(s.active_at(1.0 - eps), Some((1.0, 3.0)));
+        assert_eq!(s.active_at(3.0 - eps), Some((3.0, 4.0)));
+        assert_eq!(s.next_start_after(4.0 - eps), Some(5.0));
     }
 
     #[test]

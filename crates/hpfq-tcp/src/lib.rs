@@ -3,7 +3,7 @@
 //! Paper §5.2 drives its hierarchical link-sharing experiment (Figs. 8–9)
 //! with TCP sources from MIT NETSIM. NETSIM is not available, so this crate
 //! implements the closest behavioural equivalent as an `hpfq-sim`
-//! [`Source`]: a window-based sender with slow start, congestion avoidance,
+//! [`hpfq_sim::Source`]: a window-based sender with slow start, congestion avoidance,
 //! fast retransmit/recovery (Reno), Jacobson/Karels RTO estimation, and a
 //! colocated receiver generating cumulative ACKs.
 //!

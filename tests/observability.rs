@@ -5,7 +5,10 @@
 
 use hpfq::analysis::{flow_records_from_trace, service_records_from_trace};
 use hpfq::core::SchedulerKind;
-use hpfq::obs::{jsonl::parse_trace, replay, InvariantObserver, JsonlObserver, MetricsObserver};
+use hpfq::obs::jsonl::{parse_line, parse_trace};
+use hpfq::obs::{
+    replay, DispatchEvent, InvariantObserver, JsonlObserver, MetricsObserver, Observer, TraceEvent,
+};
 use hpfq::sim::ServiceRecord;
 use hpfq_bench::fig3::{self, Scenario, FLOW_BE1, FLOW_RT1};
 
@@ -116,4 +119,33 @@ fn tupled_metrics_and_invariants_agree_with_sim_stats() {
     let report = metrics.report();
     assert!(report.contains("link:"), "{report}");
     assert!(report.contains("flow"), "{report}");
+}
+
+/// Every scheduler's policy name survives a JSONL round trip, so parsed
+/// dispatch events keep the policy the policy-conditional checks key on.
+#[test]
+fn every_policy_name_survives_a_trace_round_trip() {
+    for kind in SchedulerKind::ALL {
+        let mut obs = JsonlObserver::new(Vec::new());
+        obs.on_dispatch(&DispatchEvent {
+            time: 0.5,
+            link: 0,
+            node: 0,
+            session: 1,
+            child: 2,
+            start_tag: 0.0,
+            finish_tag: 1e-3,
+            phi: 0.5,
+            v_before: 0.0,
+            v_after: 1e-3,
+            head_bits: 8000.0,
+            node_rate: 8e6,
+            policy: kind.name(),
+        });
+        let text = String::from_utf8(obs.into_inner()).unwrap();
+        match parse_line(text.trim_end()) {
+            Some(TraceEvent::Dispatch(e)) => assert_eq!(e.policy, kind.name()),
+            other => panic!("{}: parsed {other:?}", kind.name()),
+        }
+    }
 }

@@ -121,10 +121,6 @@ impl NodeScheduler for Oracle {
         dispatch!(self, s => s.set_is_root(is_root))
     }
 
-    fn set_dispatch_batch(&mut self, k: usize) {
-        dispatch!(self, s => s.set_dispatch_batch(k))
-    }
-
     fn save_state(&self) -> Value {
         dispatch!(self, s => s.save_state())
     }

@@ -249,7 +249,7 @@ fn calendar_serialization_is_history_independent() {
             match rng.gen_range_u32(0, 8) {
                 0..=3 => {
                     let id = rng.gen_range_usize(0, IDS);
-                    if !live.contains_key(&id) {
+                    if let std::collections::btree_map::Entry::Vacant(slot) = live.entry(id) {
                         // Mix of gated (Some start past the threshold) and
                         // open entries, quantized so ties are common.
                         let elig = (rng.gen_range_u32(0, 3) > 0)
@@ -257,7 +257,7 @@ fn calendar_serialization_is_history_independent() {
                         let primary = elig.unwrap_or(thr) + 0.5 * rng.gen_range_usize(1, 12) as f64;
                         let secondary = rng.gen_range_usize(0, 4) as f64;
                         cal.insert_ranked(SessionId(id), elig, primary, secondary);
-                        live.insert(id, (elig, primary, secondary));
+                        slot.insert((elig, primary, secondary));
                     }
                 }
                 4..=5 => {

@@ -288,6 +288,23 @@ fn fig3_snapshot_is_observationally_a_noop_and_byte_deterministic() {
     assert_artifacts_match(&golden, &cont, "fig3 snapshot+continue");
 }
 
+/// Format v1 carried a per-link train of planned transmissions that the
+/// current format cannot hold: restoring one must fail, not drop them.
+#[test]
+fn version_1_snapshot_is_refused() {
+    let mut net = fig3_net();
+    net.run(1.0);
+    let mut snap = net.snapshot().unwrap();
+    let Value::Map(fields) = &mut snap else {
+        panic!("snapshot is not a map");
+    };
+    let (_, version) = fields.iter_mut().find(|(k, _)| k == "v").unwrap();
+    assert_eq!(*version, Value::U64(2));
+    *version = Value::U64(1);
+    let err = fig3_net().restore(&snap).unwrap_err();
+    assert!(err.what.contains("snapshot version 1 unsupported"), "{err}");
+}
+
 #[test]
 fn fig3_rollback_and_resume_replay_byte_identically() {
     let mut seq = fig3_net();
